@@ -1,9 +1,11 @@
 """Command line front end: solve, gauge, norms, experiment.
 
-Configuration can come from a flat key=value file (# comments allowed); flags
-always win over file values, and the fully-resolved configuration is echoed
-into each run's manifest.  Exit codes: 0 success, 1 configuration or usage
-error, 2 numerical abort, 3 verdict failure (after the report is written).
+Every subcommand resolves its configuration the same way: schema defaults,
+then a flat key=value file (# comments allowed), then flags (``--set`` for
+experiments), later sources winning.  Every key is parsed before any work
+starts, and the resolved strings are echoed into each run's manifest.  Exit
+codes: 0 success, 1 configuration or usage error, 2 numerical abort, 3 verdict
+failure (after the report is written).
 """
 
 from __future__ import annotations
@@ -17,10 +19,20 @@ from . import dynamics
 from .dynamics import EquationSpec
 from .errors import ConfigError, SolverAbort
 from .experiments import (
-    cfg_float,
-    cfg_int,
-    cfg_sign,
+    any_float,
+    choice,
+    flag,
+    integer,
+    number,
+    optional,
+    parse_config,
+    positive,
+    required,
     run_experiment,
+    sign,
+    some_of,
+    text,
+    variant,
     write_report,
 )
 from .gauges import apply_gauge1, apply_gauge2, invert_gauge
@@ -49,27 +61,11 @@ def _read_config_file(path: str) -> dict[str, str]:
     return data
 
 
-def _resolve(defaults: dict[str, str], file_path, flag_values: dict) -> dict[str, str]:
-    """defaults, then config-file values, then explicit flags."""
-    merged = dict(defaults)
-    if file_path:
-        for key, value in _read_config_file(file_path).items():
-            if key not in defaults:
-                raise ConfigError(
-                    f"unknown config key {key!r} in {file_path}; valid keys: "
-                    + ", ".join(sorted(defaults))
-                )
-            merged[key] = value
-    for key, value in flag_values.items():
-        if value is not None:
-            merged[key] = str(value)
-    return merged
-
-
-def _require(config: dict[str, str], key: str) -> str:
-    if not config[key]:
-        raise ConfigError(f"missing required field {key!r}")
-    return config[key]
+def _overrides(config_path, flags: dict) -> dict[str, str]:
+    """Config-file values, overlaid by the flags that were given."""
+    overrides = _read_config_file(config_path) if config_path else {}
+    overrides.update((key, value) for key, value in flags.items() if value is not None)
+    return overrides
 
 
 @click.group()
@@ -77,15 +73,15 @@ def cli() -> None:
     """Pseudo-spectral laboratory for the modified KdV family on the torus."""
 
 
-SOLVE_DEFAULTS = {
-    "eq": "mkdv",
-    "sign": "+1",
-    "modes": "64",
-    "dt": "1e-4",
-    "T": "0.5",
-    "ic": "",
-    "save_every": "1",
-    "out": "",
+SOLVE_SCHEMA = {
+    "eq": ("mkdv", variant),
+    "sign": ("+1", sign),
+    "modes": ("64", positive(integer)),
+    "dt": ("1e-4", positive(number)),
+    "T": ("0.5", positive(number)),
+    "ic": ("", required),
+    "save_every": ("1", positive(integer)),
+    "out": ("", required),
 }
 
 
@@ -94,53 +90,41 @@ SOLVE_DEFAULTS = {
 @click.option("--sign", default=None, help="+1 or -1")
 @click.option("--modes", default=None, help="mode cap M")
 @click.option("--dt", default=None, help="time step")
-@click.option("--T", "horizon", default=None, help="integration horizon")
+@click.option("--T", "T", default=None, help="integration horizon")
 @click.option("--ic", default=None, help="initial-condition preset, e.g. plane_wave:5,1,0.5")
 @click.option("--save-every", default=None, help="save stride in steps")
 @click.option("--config", "config_path", default=None, help="key=value config file")
 @click.option("--out", default=None, help="output trajectory directory")
-def solve_command(eq, sign, modes, dt, horizon, ic, save_every, config_path, out):
-    """Integrate one initial condition and write the trajectory."""
-    config = _resolve(
-        SOLVE_DEFAULTS,
-        config_path,
-        {
-            "eq": eq,
-            "sign": sign,
-            "modes": modes,
-            "dt": dt,
-            "T": horizon,
-            "ic": ic,
-            "save_every": save_every,
-            "out": out,
-        },
-    )
-    equation = EquationSpec(config["eq"], cfg_sign(config))
-    mode_cap = cfg_int(config, "modes")
-    if mode_cap < 1:
-        raise ConfigError(f"'modes' must be positive, got {mode_cap}")
-    step_dt = cfg_float(config, "dt")
-    total = cfg_float(config, "T")
-    stride = cfg_int(config, "save_every")
-    initial = preset_state(mode_cap, _require(config, "ic"))
-    out_dir = _require(config, "out")
+def solve_command(config_path, **flags):
+    """Integrate one initial condition and write the trajectory.
 
-    trajectory = dynamics.solve(initial, equation, step_dt, total, stride)
-    trajectory_to_dir(
-        trajectory, out_dir, extra_manifest={"command": "solve", "config": config}
-    )
+    On a numerical abort the partial trajectory is written, with the
+    diagnostic under ``abort`` in its manifest, before exiting with code 2.
+    """
+    config, opt = parse_config(SOLVE_SCHEMA, _overrides(config_path, flags))
+    initial = preset_state(opt.modes, opt.ic)
+    manifest = {"command": "solve", "config": config}
+    try:
+        trajectory = dynamics.solve(
+            initial, EquationSpec(opt.eq, opt.sign), opt.dt, opt.T, opt.save_every
+        )
+    except SolverAbort as abort:
+        manifest["abort"] = abort.diagnostic
+        trajectory_to_dir(abort.partial, opt.out, extra_manifest=manifest)
+        raise
+    trajectory_to_dir(trajectory, opt.out, extra_manifest=manifest)
     click.echo(
-        f"wrote {len(trajectory)} states to {out_dir} "
+        f"wrote {len(trajectory)} states to {opt.out} "
         f"(dt={fmt17(trajectory.dt)}, final t={fmt17(trajectory.final.time)})"
     )
 
 
-GAUGE_DEFAULTS = {
-    "traj": "",
-    "which": "G1",
-    "invert": "false",
-    "sign": "",
-    "out": "",
+GAUGE_SCHEMA = {
+    "traj": ("", required),
+    "which": ("G1", text),  # checked only when a gauge is applied
+    "invert": ("false", flag),
+    "sign": ("", optional(sign)),
+    "out": ("", required),
 }
 
 
@@ -151,76 +135,45 @@ GAUGE_DEFAULTS = {
 @click.option("--sign", default=None, help="override the equation sign")
 @click.option("--config", "config_path", default=None, help="key=value config file")
 @click.option("--out", default=None, help="output trajectory directory")
-def gauge_command(traj, which, invert, sign, config_path, out):
+def gauge_command(config_path, **flags):
     """Apply or invert a gauge transformation on a stored trajectory."""
-    config = _resolve(
-        GAUGE_DEFAULTS,
-        config_path,
-        {"traj": traj, "which": which, "invert": invert, "sign": sign, "out": out},
-    )
-    trajectory = trajectory_from_dir(_require(config, "traj"))
-    out_dir = _require(config, "out")
-    sign_value = cfg_sign(config) if config["sign"] else None
-
-    inverting = config["invert"].strip().lower() in ("true", "1", "yes")
-    if inverting:
+    config, opt = parse_config(GAUGE_SCHEMA, _overrides(config_path, flags))
+    trajectory = trajectory_from_dir(opt.traj)
+    if opt.invert:
         result = invert_gauge(trajectory)
+    elif choice("G1", "G2")("which", opt.which.strip()) == "G1":
+        result = apply_gauge1(trajectory, opt.sign)
     else:
-        which_name = config["which"].strip()
-        if which_name == "G1":
-            result = apply_gauge1(trajectory, sign_value)
-        elif which_name == "G2":
-            result = apply_gauge2(trajectory, sign_value)
-        else:
-            raise ConfigError(f"'which' must be G1 or G2, got {which_name!r}")
+        result = apply_gauge2(trajectory, opt.sign)
     trajectory_to_dir(
-        result, out_dir, extra_manifest={"command": "gauge", "config": config}
+        result, opt.out, extra_manifest={"command": "gauge", "config": config}
     )
-    click.echo(f"wrote gauged trajectory to {out_dir}")
+    click.echo(f"wrote gauged trajectory to {opt.out}")
 
 
-NORMS_DEFAULTS = {
-    "state": "",
-    "s": "0,0.5,1",
-    "p": "2",
-    "out": "",
+NORMS_SCHEMA = {
+    "state": ("", required),
+    "s": ("0,0.5,1", some_of(any_float)),
+    "p": ("2", some_of(any_float)),
+    "out": ("", text),
 }
 
 
 @cli.command(name="norms")
 @click.option("--state", default=None, help="serialized state (.csv or .json)")
-@click.option("--s", "s_grid", default=None, help="comma list of regularities")
-@click.option("--p", "p_grid", default=None, help="comma list of integrability exponents")
+@click.option("--s", default=None, help="comma list of regularities")
+@click.option("--p", default=None, help="comma list of integrability exponents")
 @click.option("--config", "config_path", default=None, help="key=value config file")
 @click.option("--out", default=None, help="optional JSON output path")
 @click.option("--pretty", is_flag=True, default=False, help="aligned human table")
-def norms_command(state, s_grid, p_grid, config_path, out, pretty):
+def norms_command(config_path, pretty, **flags):
     """Print an FL-norm table (CSV on stdout) for a stored state."""
-    config = _resolve(
-        NORMS_DEFAULTS,
-        config_path,
-        {"state": state, "s": s_grid, "p": p_grid, "out": out},
-    )
-    loaded = load_state(_require(config, "state"))
-
-    def parse_grid(key):
-        values = []
-        for item in config[key].split(","):
-            item = item.strip()
-            if not item:
-                continue
-            try:
-                values.append(float(item))
-            except ValueError:
-                raise ConfigError(f"malformed number in {key!r}: {item!r}") from None
-        if not values:
-            raise ConfigError(f"{key!r} must list at least one value")
-        return values
-
+    _, opt = parse_config(NORMS_SCHEMA, _overrides(config_path, flags))
+    loaded = load_state(opt.state)
     rows = [
         (s_val, p_val, fl_norm(loaded, NormSpec(s_val, p_val)))
-        for s_val in parse_grid("s")
-        for p_val in parse_grid("p")
+        for s_val in opt.s
+        for p_val in opt.p
     ]
     if pretty:
         click.echo(f"mass     = {mass(loaded):.12g}")
@@ -231,7 +184,7 @@ def norms_command(state, s_grid, p_grid, config_path, out, pretty):
         click.echo("s,p,fl_norm")
         for s_val, p_val, value in rows:
             click.echo(f"{fmt17(s_val)},{fmt17(p_val)},{fmt17(value)}")
-    if config["out"]:
+    if opt.out:
         payload = {
             "mass": mass(loaded),
             "momentum": momentum(loaded),
@@ -240,7 +193,7 @@ def norms_command(state, s_grid, p_grid, config_path, out, pretty):
                 for s_val, p_val, value in rows
             ],
         }
-        pathlib.Path(config["out"]).write_text(canonical_json(payload))
+        pathlib.Path(opt.out).write_text(canonical_json(payload))
 
 
 @cli.command(name="experiment")
@@ -255,16 +208,14 @@ def norms_command(state, s_grid, p_grid, config_path, out, pretty):
 @click.option("--out", required=True, help="output report directory")
 def experiment_command(name, config_path, assignments, out):
     """Run a named experiment and write report.json plus series CSVs."""
-    overrides: dict[str, str] = {}
-    if config_path:
-        overrides.update(_read_config_file(config_path))
+    assigned: dict[str, str] = {}
     for item in assignments:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
-        overrides[key.strip()] = value.strip()
+        assigned[key.strip()] = value.strip()
 
-    report = run_experiment(name, overrides)
+    report = run_experiment(name, _overrides(config_path, assigned))
     out_dir = pathlib.Path(out)
     write_report(report, out_dir)
     manifest = {

@@ -1,8 +1,8 @@
 """Scripted experiments that exercise the solver and produce verdict reports.
 
-Every experiment takes a flat, string-valued configuration (defaults merged
-with overrides), runs deterministically given that configuration, and returns
-an ExperimentReport.  Each verdict names the config key holding its threshold,
+Every experiment takes a flat, string-valued configuration (schema defaults
+merged with overrides, every key parsed up front), runs deterministically
+given that configuration, and returns an ExperimentReport.  Each verdict names the config key holding its threshold,
 so reports are self-describing; serialization is byte-stable across runs.
 """
 
@@ -14,6 +14,7 @@ import math
 import os
 import pathlib
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, SolverAbort
 from .gauges import apply_gauge1, apply_gauge2
-from .io import canonical_json, series_to_csv_text
+from .io import canonical_json, fmt17, series_to_csv_text
 from .norms import (
     NormSpec,
     fl_norm,
@@ -163,27 +164,50 @@ def resolve_config(defaults: dict[str, str], overrides) -> dict[str, str]:
     return merged
 
 
-def cfg_int(config: dict[str, str], key: str) -> int:
-    raw = config[key]
+def parse_config(schema, overrides) -> tuple[dict[str, str], SimpleNamespace]:
+    """Resolve a schema (key -> (default text, parser)) against overrides.
+
+    Returns the string echo that reports and manifests record, and the
+    parsed values as attributes.  Every key is parsed, so a bad value is
+    reported before any work starts.
+    """
+    config = resolve_config(
+        {key: default for key, (default, _) in schema.items()}, overrides
+    )
+    return config, SimpleNamespace(
+        **{key: parse(key, config[key]) for key, (_, parse) in schema.items()}
+    )
+
+
+# Parsers take (key, text) and return the value or raise ConfigError naming
+# the key; combinators build parsers from parsers.
+
+
+def text(key: str, raw: str) -> str:
+    return raw
+
+
+def flag(key: str, raw: str) -> bool:
+    return raw.strip().lower() in ("true", "1", "yes")
+
+
+def integer(key: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
         raise ConfigError(f"malformed integer for {key!r}: {raw!r}") from None
 
 
-def cfg_float(config: dict[str, str], key: str) -> float:
-    raw = config[key]
+def any_float(key: str, raw: str) -> float:
+    """A float, infinities and NaN included."""
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         raise ConfigError(f"malformed number for {key!r}: {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"non-finite value for {key!r}: {raw!r}")
-    return value
 
 
-def cfg_sign(config: dict[str, str], key: str = "sign") -> int:
-    raw = config[key].strip()
+def sign(key: str, raw: str) -> int:
+    raw = raw.strip()
     if raw in ("+1", "1", "+"):
         return 1
     if raw in ("-1", "-"):
@@ -191,39 +215,83 @@ def cfg_sign(config: dict[str, str], key: str = "sign") -> int:
     raise ConfigError(f"{key!r} must be +1 or -1, got {raw!r}")
 
 
-def cfg_int_list(config: dict[str, str], key: str) -> tuple[int, ...]:
-    raw = config[key].strip()
-    if not raw:
-        return ()
-    try:
-        return tuple(int(item.strip()) for item in raw.split(","))
-    except ValueError:
-        raise ConfigError(f"malformed integer list for {key!r}: {raw!r}") from None
+def _checked(parse, holds, wording: str):
+    """``parse``, then a ConfigError unless ``holds(value)``."""
+
+    def check(key: str, raw: str):
+        value = parse(key, raw)
+        if not holds(value):
+            raise ConfigError(f"{key!r} must be {wording}, got {value!r}")
+        return value
+
+    return check
 
 
-def cfg_float_list(config: dict[str, str], key: str) -> tuple[float, ...]:
-    raw = config[key].strip()
-    if not raw:
-        return ()
-    try:
-        values = tuple(float(item.strip()) for item in raw.split(","))
-    except ValueError:
-        raise ConfigError(f"malformed number list for {key!r}: {raw!r}") from None
-    if any(not math.isfinite(v) for v in values):
-        raise ConfigError(f"non-finite entry in {key!r}: {raw!r}")
-    return values
+def positive(parse):
+    return _checked(parse, lambda value: value > 0, "positive")
 
 
-def _positive(value, key: str):
-    if value <= 0:
-        raise ConfigError(f"{key!r} must be positive, got {value}")
-    return value
+def nonnegative(parse):
+    return _checked(parse, lambda value: value >= 0, "non-negative")
 
 
-def _increasing(values, key: str):
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ConfigError(f"{key!r} must be strictly increasing")
-    return values
+def increasing(parse):
+    return _checked(
+        parse, lambda values: all(b > a for a, b in zip(values, values[1:])),
+        "strictly increasing",
+    )
+
+
+def choice(*options: str):
+    return _checked(text, options.__contains__, f"one of {', '.join(options)}")
+
+
+def optional(parse):
+    """An empty text means None."""
+    return lambda key, raw: parse(key, raw) if raw else None
+
+
+required = _checked(text, bool, "given")
+number = _checked(any_float, math.isfinite, "finite")
+variant = choice(*VARIANTS)
+# NaN fails the p >= 1 test too
+_exponent = _checked(any_float, lambda p: p >= 1.0, "s:p pairs with p >= 1")
+
+
+def sp_pair(key: str, raw: str) -> tuple[float, float]:
+    """'s:p' with a finite s and p >= 1 (p = inf allowed)."""
+    s_text, colon, p_text = raw.partition(":")
+    if not colon:
+        raise ConfigError(f"malformed (s,p) pair {raw!r} in {key!r}; expected 's:p'")
+    return number(key, s_text), _exponent(key, p_text)
+
+
+def list_of(item):
+    """Comma-separated items; an empty text is the empty tuple."""
+
+    def parse(key: str, raw: str) -> tuple:
+        raw = raw.strip()
+        return tuple(item(key, piece) for piece in raw.split(",")) if raw else ()
+
+    return parse
+
+
+def some_of(item):
+    """Comma-separated items, blanks skipped; at least one is required."""
+
+    def parse(key: str, raw: str) -> tuple:
+        pieces = [piece.strip() for piece in raw.split(",") if piece.strip()]
+        if not pieces:
+            raise ConfigError(f"{key!r} must list at least one value")
+        return tuple(item(key, piece) for piece in pieces)
+
+    return parse
+
+
+int_list = list_of(integer)
+float_list = list_of(number)
+variant_list = some_of(variant)
+pair_list = some_of(sp_pair)
 
 
 def thread_workers() -> int:
@@ -309,29 +377,17 @@ def _auto_solve(
 # conservation
 
 
-CONSERVATION_DEFAULTS = {
-    "variants": "mkdv,mkdv1,mkdv2",
-    "sign": "+1",
-    "modes": "32",
-    "ic": "random_smooth:1.5,0",
-    "seeds": "0,1,2",
-    "dt": "5e-4",
-    "T": "1.0",
-    "save_every": "20",
-    "drift_tol": "1e-8",
+CONSERVATION_SCHEMA = {
+    "variants": ("mkdv,mkdv1,mkdv2", variant_list),
+    "sign": ("+1", sign),
+    "modes": ("32", positive(integer)),
+    "ic": ("random_smooth:1.5,0", text),
+    "seeds": ("0,1,2", int_list),
+    "dt": ("5e-4", positive(number)),
+    "T": ("1.0", positive(number)),
+    "save_every": ("20", positive(integer)),
+    "drift_tol": ("1e-8", positive(number)),
 }
-
-
-def _parse_variants(config: dict[str, str]) -> list[str]:
-    names = [v.strip() for v in config["variants"].split(",") if v.strip()]
-    if not names:
-        raise ConfigError("'variants' must name at least one equation")
-    for name in names:
-        if name not in VARIANTS:
-            raise ConfigError(
-                f"unknown equation variant {name!r}; valid: {', '.join(VARIANTS)}"
-            )
-    return names
 
 
 def exp_conservation(overrides=None) -> ExperimentReport:
@@ -343,34 +399,25 @@ def exp_conservation(overrides=None) -> ExperimentReport:
     each sweep entry in turn.  Time series are reported for the first member
     of each variant, drifts for the worst member.
     """
-    config = resolve_config(CONSERVATION_DEFAULTS, overrides)
-    variants = _parse_variants(config)
-    sign = cfg_sign(config)
-    modes = _positive(cfg_int(config, "modes"), "modes")
-    seeds = cfg_int_list(config, "seeds")
-    dt = _positive(cfg_float(config, "dt"), "dt")
-    horizon = _positive(cfg_float(config, "T"), "T")
-    save_every = _positive(cfg_int(config, "save_every"), "save_every")
-    tol = _positive(cfg_float(config, "drift_tol"), "drift_tol")
-
-    ic_name, ic_args = parse_preset(config["ic"])
-    if seeds and (ic_name != "random_smooth" or len(ic_args) < 1):
+    config, opt = parse_config(CONSERVATION_SCHEMA, overrides)
+    ic_name, ic_args = parse_preset(opt.ic)
+    if opt.seeds and (ic_name != "random_smooth" or len(ic_args) < 1):
         raise ConfigError("a 'seeds' sweep requires a random_smooth:decay,seed ic")
     members = []
-    for variant in variants:
-        if seeds:
-            for seed in seeds:
-                members.append((variant, f"random_smooth:{ic_args[0]:g},{seed}"))
+    for variant in opt.variants:
+        if opt.seeds:
+            for seed in opt.seeds:
+                members.append((variant, f"random_smooth:{fmt17(ic_args[0])},{seed}"))
         else:
-            members.append((variant, config["ic"]))
+            members.append((variant, opt.ic))
 
     fl_spec = NormSpec(0.5, 2)
 
     def run(member):
         variant, preset = member
         trajectory = solve(
-            preset_state(modes, preset), EquationSpec(variant, sign), dt, horizon,
-            save_every,
+            preset_state(opt.modes, preset), EquationSpec(variant, opt.sign), opt.dt,
+            opt.T, opt.save_every,
         )
         masses = np.array([mass(st) for st in trajectory.states])
         momenta = np.array([momentum(st) for st in trajectory.states])
@@ -382,7 +429,7 @@ def exp_conservation(overrides=None) -> ExperimentReport:
     series: dict[str, Series] = {}
     scalars: dict[str, float] = {}
     verdicts = []
-    for variant in variants:
+    for variant in opt.variants:
         rows = [r for r in results if r[0] == variant]
         mass_drift = 0.0
         mom_drift = 0.0
@@ -404,12 +451,12 @@ def exp_conservation(overrides=None) -> ExperimentReport:
         scalars[f"{variant}_mass_drift"] = mass_drift
         scalars[f"{variant}_momentum_drift"] = mom_drift
         verdicts.append(
-            VerdictRecord(f"{variant}_mass_conserved", mass_drift <= tol, mass_drift,
-                          "drift_tol")
+            VerdictRecord(f"{variant}_mass_conserved", mass_drift <= opt.drift_tol,
+                          mass_drift, "drift_tol")
         )
         verdicts.append(
-            VerdictRecord(f"{variant}_momentum_conserved", mom_drift <= tol, mom_drift,
-                          "drift_tol")
+            VerdictRecord(f"{variant}_momentum_conserved", mom_drift <= opt.drift_tol,
+                          mom_drift, "drift_tol")
         )
 
     return ExperimentReport(
@@ -422,16 +469,16 @@ def exp_conservation(overrides=None) -> ExperimentReport:
 # gauge equivalence
 
 
-GAUGE_EQUIVALENCE_DEFAULTS = {
-    "ic": "random_smooth:1.5,0",
-    "sign": "+1",
-    "modes": "32",
-    "dt": "2.5e-4",
-    "T": "0.5",
-    "save_every": "10",
-    "gap_tol": "1e-6",
-    "norm_s": "0.5",
-    "norm_p": "2",
+GAUGE_EQUIVALENCE_SCHEMA = {
+    "ic": ("random_smooth:1.5,0", text),
+    "sign": ("+1", sign),
+    "modes": ("32", positive(integer)),
+    "dt": ("2.5e-4", positive(number)),
+    "T": ("0.5", positive(number)),
+    "save_every": ("10", positive(integer)),
+    "gap_tol": ("1e-6", positive(number)),
+    "norm_s": ("0.5", number),
+    "norm_p": ("2", number),
 }
 
 
@@ -443,19 +490,14 @@ def exp_gauge_equivalence(overrides=None) -> ExperimentReport:
     first through both, then compares against the directly-computed targets in
     sup-over-time FL norm.
     """
-    config = resolve_config(GAUGE_EQUIVALENCE_DEFAULTS, overrides)
-    sign = cfg_sign(config)
-    modes = _positive(cfg_int(config, "modes"), "modes")
-    dt = _positive(cfg_float(config, "dt"), "dt")
-    horizon = _positive(cfg_float(config, "T"), "T")
-    save_every = _positive(cfg_int(config, "save_every"), "save_every")
-    tol = _positive(cfg_float(config, "gap_tol"), "gap_tol")
-    spec = NormSpec(cfg_float(config, "norm_s"), cfg_float(config, "norm_p"))
-
-    initial = preset_state(modes, config["ic"])
+    config, opt = parse_config(GAUGE_EQUIVALENCE_SCHEMA, overrides)
+    spec = NormSpec(opt.norm_s, opt.norm_p)
+    initial = preset_state(opt.modes, opt.ic)
 
     def run(variant):
-        return solve(initial, EquationSpec(variant, sign), dt, horizon, save_every)
+        return solve(
+            initial, EquationSpec(variant, opt.sign), opt.dt, opt.T, opt.save_every
+        )
 
     traj_plain, traj_first, traj_second = parallel_map(run, list(VARIANTS))
     gauged_once = apply_gauge1(traj_plain)
@@ -481,7 +523,7 @@ def exp_gauge_equivalence(overrides=None) -> ExperimentReport:
     }
     scalars = {f"sup_{key}": float(np.max(values)) for key, values in gaps.items()}
     verdicts = tuple(
-        VerdictRecord(f"{key}_small", scalars[f"sup_{key}"] <= tol,
+        VerdictRecord(f"{key}_small", scalars[f"sup_{key}"] <= opt.gap_tol,
                       scalars[f"sup_{key}"], "gap_tol")
         for key in ("gauge1_gap", "gauge2_gap", "composed_gap")
     )
@@ -495,29 +537,29 @@ def exp_gauge_equivalence(overrides=None) -> ExperimentReport:
 # non-existence mechanism
 
 
-NONEXISTENCE_DEFAULTS = {
-    "s": "0.5",
-    "p": "3",
-    "alpha": "0.9",
-    "sign": "+1",
-    "modes": "512",
-    "schedule": "32,64,128,256",
-    "T": "0.8",
-    "save_points": "160",
-    "pairing_mode": "1",
-    "cauchy_s": "-1",
-    "cauchy_p": "2",
-    "shrink_factor": "4",
-    "u_floor": "0.1",
-    "pairing_drop": "0.5",
-    "mom_schedule": "32,64,128,256,512,1024,2048,4096",
-    "mom_tol": "1e-6",
-    "dt_cap": "0",
-    "control_modes": "128",
-    "control_schedule": "32,128",
-    "control_scale": "0.5",
-    "control_tol": "1e-12",
-    "control_pairing_floor": "0.5",
+NONEXISTENCE_SCHEMA = {
+    "s": ("0.5", number),
+    "p": ("3", positive(number)),
+    "alpha": ("0.9", positive(number)),
+    "sign": ("+1", sign),
+    "modes": ("512", positive(integer)),
+    "schedule": ("32,64,128,256", increasing(int_list)),
+    "T": ("0.8", positive(number)),
+    "save_points": ("160", positive(integer)),
+    "pairing_mode": ("1", integer),
+    "cauchy_s": ("-1", number),
+    "cauchy_p": ("2", number),
+    "shrink_factor": ("4", positive(number)),
+    "u_floor": ("0.1", positive(number)),
+    "pairing_drop": ("0.5", positive(number)),
+    "mom_schedule": ("32,64,128,256,512,1024,2048,4096", increasing(int_list)),
+    "mom_tol": ("1e-6", positive(number)),
+    "dt_cap": ("0", nonnegative(number)),
+    "control_modes": ("128", positive(integer)),
+    "control_schedule": ("32,128", increasing(int_list)),
+    "control_scale": ("0.5", positive(number)),
+    "control_tol": ("1e-12", positive(number)),
+    "control_pairing_floor": ("0.5", positive(number)),
 }
 
 
@@ -536,48 +578,26 @@ def exp_nonexistence(overrides=None) -> ExperimentReport:
     an extended cutoff schedule, since a cap-M state trivially stabilizes past
     M; rule and state momenta are cross-checked where both exist.
     """
-    config = resolve_config(NONEXISTENCE_DEFAULTS, overrides)
-    s = cfg_float(config, "s")
-    p = _positive(cfg_float(config, "p"), "p")
-    alpha = _positive(cfg_float(config, "alpha"), "alpha")
-    sign = cfg_sign(config)
-    modes = _positive(cfg_int(config, "modes"), "modes")
-    schedule = _increasing(cfg_int_list(config, "schedule"), "schedule")
-    horizon = _positive(cfg_float(config, "T"), "T")
-    save_points = _positive(cfg_int(config, "save_points"), "save_points")
-    pairing_mode = cfg_int(config, "pairing_mode")
-    cauchy_spec = NormSpec(cfg_float(config, "cauchy_s"), cfg_float(config, "cauchy_p"))
+    config, opt = parse_config(NONEXISTENCE_SCHEMA, overrides)
+    s, p, alpha, sign = opt.s, opt.p, opt.alpha, opt.sign
+    schedule, control_schedule = opt.schedule, opt.control_schedule
+    cauchy_spec = NormSpec(opt.cauchy_s, opt.cauchy_p)
     u_spec = NormSpec(s, p)
-    shrink_factor = _positive(cfg_float(config, "shrink_factor"), "shrink_factor")
-    u_floor = _positive(cfg_float(config, "u_floor"), "u_floor")
-    pairing_drop = _positive(cfg_float(config, "pairing_drop"), "pairing_drop")
-    mom_schedule = _increasing(cfg_int_list(config, "mom_schedule"), "mom_schedule")
-    mom_tol = _positive(cfg_float(config, "mom_tol"), "mom_tol")
-    dt_cap = cfg_float(config, "dt_cap")
-    control_modes = _positive(cfg_int(config, "control_modes"), "control_modes")
-    control_schedule = _increasing(
-        cfg_int_list(config, "control_schedule"), "control_schedule"
-    )
-    control_scale = _positive(cfg_float(config, "control_scale"), "control_scale")
-    control_tol = _positive(cfg_float(config, "control_tol"), "control_tol")
-    control_floor = _positive(
-        cfg_float(config, "control_pairing_floor"), "control_pairing_floor"
-    )
 
     if len(schedule) < 2:
         raise ConfigError("'schedule' needs at least two cutoffs")
-    if schedule[-1] > modes:
+    if schedule[-1] > opt.modes:
         raise ConfigError(
-            f"schedule entry {schedule[-1]} exceeds the mode cap {modes}"
+            f"schedule entry {schedule[-1]} exceeds the mode cap {opt.modes}"
         )
     if len(control_schedule) < 2:
         raise ConfigError("'control_schedule' needs at least two cutoffs")
-    if control_schedule[-1] > control_modes:
+    if control_schedule[-1] > opt.control_modes:
         raise ConfigError(
             f"control schedule entry {control_schedule[-1]} exceeds "
-            f"control_modes {control_modes}"
+            f"control_modes {opt.control_modes}"
         )
-    if len(mom_schedule) < 4:
+    if len(opt.mom_schedule) < 4:
         raise ConfigError("'mom_schedule' needs at least four cutoffs")
 
     # Both data-class conditions are p-series facts; certify them numerically
@@ -604,16 +624,18 @@ def exp_nonexistence(overrides=None) -> ExperimentReport:
         if symmetric:
             # real-valued control: mirror the coefficients, momentum cancels
             truncated = truncated.with_(
-                coeffs=control_scale
+                coeffs=opt.control_scale
                 * (truncated.coeffs + np.conj(truncated.coeffs[::-1]))
             )
         rate = momentum(truncated)
-        trajectory = _auto_solve(truncated, equation, horizon, save_points, dt_cap)
+        trajectory = _auto_solve(
+            truncated, equation, opt.T, opt.save_points, opt.dt_cap
+        )
         u_states = _unwind_momentum_phase(trajectory.states, sign, rate)
-        pairing = _window_pairing(u_states, horizon, pairing_mode)
+        pairing = _window_pairing(u_states, opt.T, opt.pairing_mode)
         return trajectory, u_states, rate, pairing
 
-    main_runs = parallel_map(run, [(modes, N, False) for N in schedule])
+    main_runs = parallel_map(run, [(opt.modes, N, False) for N in schedule])
 
     v_gaps = []
     u_gaps = []
@@ -635,7 +657,7 @@ def exp_nonexistence(overrides=None) -> ExperimentReport:
     def rule(n: int) -> complex:
         return complex(float(n) ** -alpha) if n >= 1 else 0j
 
-    diagnostic = momentum_limit_diagnostic(rule, mom_schedule, mom_tol)
+    diagnostic = momentum_limit_diagnostic(rule, opt.mom_schedule, opt.mom_tol)
     state_rule_gap = max(
         abs(
             rate
@@ -647,7 +669,7 @@ def exp_nonexistence(overrides=None) -> ExperimentReport:
     )
 
     control_runs = parallel_map(
-        run, [(control_modes, N, True) for N in control_schedule]
+        run, [(opt.control_modes, N, True) for N in control_schedule]
     )
     control_mom_max = max(abs(rate) for _, _, rate, _ in control_runs)
     control_gauge_gap = max(
@@ -694,15 +716,15 @@ def exp_nonexistence(overrides=None) -> ExperimentReport:
     }
     verdicts = (
         VerdictRecord(
-            "v_cauchy_shrinks", v_ratio >= shrink_factor, v_ratio, "shrink_factor",
+            "v_cauchy_shrinks", v_ratio >= opt.shrink_factor, v_ratio, "shrink_factor",
             "first over last consecutive sup-t gap of the gauged solutions",
         ),
         VerdictRecord(
-            "u_separation_persists", u_ratio >= u_floor, u_ratio, "u_floor",
+            "u_separation_persists", u_ratio >= opt.u_floor, u_ratio, "u_floor",
             "smallest consecutive u_N gap over the solution norm scale",
         ),
         VerdictRecord(
-            "pairing_decays", pairing_ratio <= pairing_drop, pairing_ratio,
+            "pairing_decays", pairing_ratio <= opt.pairing_drop, pairing_ratio,
             "pairing_drop", "largest-N pairing over smallest-N pairing",
         ),
         VerdictRecord(
@@ -711,16 +733,17 @@ def exp_nonexistence(overrides=None) -> ExperimentReport:
             "limit diagnostic on the defining coefficient rule",
         ),
         VerdictRecord(
-            "control_momentum_zero", control_mom_max <= control_tol,
+            "control_momentum_zero", control_mom_max <= opt.control_tol,
             control_mom_max, "control_tol",
         ),
         VerdictRecord(
-            "control_gauge_trivial", control_gauge_gap <= control_tol,
+            "control_gauge_trivial", control_gauge_gap <= opt.control_tol,
             control_gauge_gap, "control_tol",
             "u_N and v_N coincide when the data momentum vanishes",
         ),
         VerdictRecord(
-            "control_pairing_persists", control_pairing_ratio >= control_floor,
+            "control_pairing_persists",
+            control_pairing_ratio >= opt.control_pairing_floor,
             control_pairing_ratio, "control_pairing_floor",
         ),
     )
@@ -734,16 +757,16 @@ def exp_nonexistence(overrides=None) -> ExperimentReport:
 # ill-posedness below s = 1/2
 
 
-ILLPOSEDNESS_DEFAULTS = {
-    "s": "0",
-    "p": "2",
-    "sign": "+1",
-    "n_list": "2,4,8,16",
-    "N_rule": "minimal",
-    "save_points": "16",
-    "agree_tol": "1e-8",
-    "init_tol": "0.05",
-    "sep_floor": "1.9",
+ILLPOSEDNESS_SCHEMA = {
+    "s": ("0", number),
+    "p": ("2", positive(number)),
+    "sign": ("+1", sign),
+    "n_list": ("2,4,8,16", increasing(int_list)),
+    "N_rule": ("minimal", choice("minimal")),
+    "save_points": ("16", positive(integer)),
+    "agree_tol": ("1e-8", positive(number)),
+    "init_tol": ("0.05", positive(number)),
+    "sep_floor": ("1.9", positive(number)),
 }
 
 
@@ -765,25 +788,13 @@ def exp_illposedness(overrides=None) -> ExperimentReport:
     t_n reach <N>^s N^{-s} (2 + 1/n) >= 2.  Analytic values never touch the
     solver; a separate verdict confirms the solver reproduces them.
     """
-    config = resolve_config(ILLPOSEDNESS_DEFAULTS, overrides)
-    s = cfg_float(config, "s")
-    p = _positive(cfg_float(config, "p"), "p")
-    sign = cfg_sign(config)
-    n_list = _increasing(cfg_int_list(config, "n_list"), "n_list")
-    save_points = _positive(cfg_int(config, "save_points"), "save_points")
-    agree_tol = _positive(cfg_float(config, "agree_tol"), "agree_tol")
-    init_tol = _positive(cfg_float(config, "init_tol"), "init_tol")
-    sep_floor = _positive(cfg_float(config, "sep_floor"), "sep_floor")
-
+    config, opt = parse_config(ILLPOSEDNESS_SCHEMA, overrides)
+    s, sign, n_list = opt.s, opt.sign, opt.n_list
     if s >= 0.5:
         raise ConfigError(f"'s' must be below 1/2, got {s}")
     if not n_list or n_list[0] < 1:
         raise ConfigError("'n_list' must hold positive integers")
-    if config["N_rule"] != "minimal":
-        raise ConfigError(
-            f"unsupported N_rule {config['N_rule']!r}; only 'minimal' is implemented"
-        )
-    spec = NormSpec(s, p)
+    spec = NormSpec(s, opt.p)
 
     def run(n):
         N, t_n = _illposedness_frequency(n, s)
@@ -813,9 +824,9 @@ def exp_illposedness(overrides=None) -> ExperimentReport:
 
         # nonlinear rotation rates fix the accuracy-driven step size
         rate_b = amp_b**2 * float(N) ** (1.0 - 2.0 * s)
-        budget = (120.0 * (agree_tol / 20.0) / (t_n * rate_b**5)) ** 0.25
+        budget = (120.0 * (opt.agree_tol / 20.0) / (t_n * rate_b**5)) ** 0.25
         dt_cap = min(budget, stability_dt_limit(data_b), t_n)
-        dt, save_every = phase_schedule(t_n, dt_cap, save_points)
+        dt, save_every = phase_schedule(t_n, dt_cap, opt.save_points)
 
         largest = 0.0
         finals = []
@@ -866,11 +877,11 @@ def exp_illposedness(overrides=None) -> ExperimentReport:
     }
     verdicts = (
         VerdictRecord(
-            "initial_distances_decay", decay_dev <= init_tol, decay_dev, "init_tol",
+            "initial_distances_decay", decay_dev <= opt.init_tol, decay_dev, "init_tol",
             "relative deviation of n * initial gap from its exact prefactor",
         ),
         VerdictRecord(
-            "solutions_separate", min(analytic_gaps) >= sep_floor,
+            "solutions_separate", min(analytic_gaps) >= opt.sep_floor,
             min(analytic_gaps), "sep_floor",
         ),
         VerdictRecord(
@@ -879,7 +890,8 @@ def exp_illposedness(overrides=None) -> ExperimentReport:
             "t_n <= 1/n and strictly decreasing along n_list",
         ),
         VerdictRecord(
-            "solver_matches_analytic", agreement <= agree_tol, agreement, "agree_tol",
+            "solver_matches_analytic", agreement <= opt.agree_tol, agreement,
+            "agree_tol",
         ),
     )
     return ExperimentReport(
@@ -892,16 +904,16 @@ def exp_illposedness(overrides=None) -> ExperimentReport:
 # random-data momentum statistics
 
 
-RANDOM_MOMENTUM_DEFAULTS = {
-    "samples": "10000",
-    "n_max": "1000",
-    "seed": "0",
-    "chunk": "500",
-    "se_factor": "4",
-    "mean_se_factor": "4",
-    "control_samples": "3",
-    "control_tol": "1e-12",
-    "crosscheck_tol": "1e-10",
+RANDOM_MOMENTUM_SCHEMA = {
+    "samples": ("10000", integer),
+    "n_max": ("1000", positive(integer)),
+    "seed": ("0", nonnegative(integer)),
+    "chunk": ("500", positive(integer)),
+    "se_factor": ("4", positive(number)),
+    "mean_se_factor": ("4", positive(number)),
+    "control_samples": ("3", positive(integer)),
+    "control_tol": ("1e-12", positive(number)),
+    "crosscheck_tol": ("1e-10", positive(number)),
 }
 
 
@@ -915,26 +927,18 @@ def exp_random_momentum(overrides=None) -> ExperimentReport:
     the momentum vanish identically, and the vectorized formula is checked
     against an assembled state once.
     """
-    config = resolve_config(RANDOM_MOMENTUM_DEFAULTS, overrides)
-    samples = cfg_int(config, "samples")
-    n_max = _positive(cfg_int(config, "n_max"), "n_max")
-    seed = cfg_int(config, "seed")
-    chunk = _positive(cfg_int(config, "chunk"), "chunk")
-    se_factor = _positive(cfg_float(config, "se_factor"), "se_factor")
-    mean_se_factor = _positive(cfg_float(config, "mean_se_factor"), "mean_se_factor")
-    control_samples = _positive(cfg_int(config, "control_samples"), "control_samples")
-    control_tol = _positive(cfg_float(config, "control_tol"), "control_tol")
-    crosscheck_tol = _positive(cfg_float(config, "crosscheck_tol"), "crosscheck_tol")
+    config, opt = parse_config(RANDOM_MOMENTUM_SCHEMA, overrides)
+    samples, n_max = opt.samples, opt.n_max
     if samples < 100:
         raise ConfigError(f"'samples' must be at least 100, got {samples}")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(opt.seed)
     inv_n = 1.0 / np.arange(1, n_max + 1, dtype=np.float64)
     chunks = []
     first_draw = None
     remaining = samples
     while remaining > 0:
-        take = min(chunk, remaining)
+        take = min(opt.chunk, remaining)
         g_plus = rng.standard_normal((take, n_max, 2))
         g_minus = rng.standard_normal((take, n_max, 2))
         if first_draw is None:
@@ -961,7 +965,7 @@ def exp_random_momentum(overrides=None) -> ExperimentReport:
     )
 
     control_max = 0.0
-    for _ in range(control_samples):
+    for _ in range(opt.control_samples):
         g = rng.standard_normal((n_max, 2))
         sym = np.zeros(2 * n_max + 1, dtype=np.complex128)
         sym[n_max + 1 :] = (g[:, 0] + 1j * g[:, 1]) * inv_n
@@ -989,20 +993,20 @@ def exp_random_momentum(overrides=None) -> ExperimentReport:
     verdicts = (
         VerdictRecord(
             "second_moment_matches",
-            abs(second_moment - target) <= se_factor * se_second,
+            abs(second_moment - target) <= opt.se_factor * se_second,
             abs(second_moment - target) / max(se_second, 1e-300), "se_factor",
             "distance to the analytic value in standard errors",
         ),
         VerdictRecord(
-            "mean_vanishes", abs(sample_mean) <= mean_se_factor * se_mean,
+            "mean_vanishes", abs(sample_mean) <= opt.mean_se_factor * se_mean,
             abs(sample_mean) / max(se_mean, 1e-300), "mean_se_factor",
         ),
         VerdictRecord(
-            "formula_matches_state", crosscheck_gap <= crosscheck_tol,
+            "formula_matches_state", crosscheck_gap <= opt.crosscheck_tol,
             crosscheck_gap, "crosscheck_tol",
         ),
         VerdictRecord(
-            "symmetric_control_vanishes", control_max <= control_tol,
+            "symmetric_control_vanishes", control_max <= opt.control_tol,
             control_max, "control_tol",
         ),
     )
@@ -1016,17 +1020,17 @@ def exp_random_momentum(overrides=None) -> ExperimentReport:
 # high-frequency momentum drift
 
 
-ENERGY_DRIFT_DEFAULTS = {
-    "variant": "mkdv2",
-    "sign": "+1",
-    "modes": "128",
-    "ic": "gaussian_bump:6,0.35,4",
-    "cutoffs": "8,16,32,64",
-    "dt": "2e-4",
-    "T": "1.0",
-    "save_every": "25",
-    "slope_max": "-0.1",
-    "noise_floor": "1e-13",
+ENERGY_DRIFT_SCHEMA = {
+    "variant": ("mkdv2", variant),
+    "sign": ("+1", sign),
+    "modes": ("128", positive(integer)),
+    "ic": ("gaussian_bump:6,0.35,4", text),
+    "cutoffs": ("8,16,32,64", increasing(int_list)),
+    "dt": ("2e-4", positive(number)),
+    "T": ("1.0", positive(number)),
+    "save_every": ("25", positive(integer)),
+    "slope_max": ("-0.1", number),
+    "noise_floor": ("1e-13", positive(number)),
 }
 
 
@@ -1038,28 +1042,18 @@ def exp_energy_drift(overrides=None) -> ExperimentReport:
     threshold is an artifact choice, not a value the source material
     quantifies; drifts at rounding scale pass as below noise.
     """
-    config = resolve_config(ENERGY_DRIFT_DEFAULTS, overrides)
-    variant = config["variant"]
-    if variant not in VARIANTS:
-        raise ConfigError(
-            f"unknown equation variant {variant!r}; valid: {', '.join(VARIANTS)}"
-        )
-    sign = cfg_sign(config)
-    modes = _positive(cfg_int(config, "modes"), "modes")
-    cutoffs = _increasing(cfg_int_list(config, "cutoffs"), "cutoffs")
-    dt = _positive(cfg_float(config, "dt"), "dt")
-    horizon = _positive(cfg_float(config, "T"), "T")
-    save_every = _positive(cfg_int(config, "save_every"), "save_every")
-    slope_max = cfg_float(config, "slope_max")
-    noise_floor = _positive(cfg_float(config, "noise_floor"), "noise_floor")
+    config, opt = parse_config(ENERGY_DRIFT_SCHEMA, overrides)
+    cutoffs = opt.cutoffs
     if not cutoffs or cutoffs[0] < 1:
         raise ConfigError("'cutoffs' must hold positive integers")
-    if cutoffs[-1] >= modes:
-        raise ConfigError(f"cutoff {cutoffs[-1]} must stay below the mode cap {modes}")
+    if cutoffs[-1] >= opt.modes:
+        raise ConfigError(
+            f"cutoff {cutoffs[-1]} must stay below the mode cap {opt.modes}"
+        )
 
     trajectory = solve(
-        preset_state(modes, config["ic"]), EquationSpec(variant, sign), dt, horizon,
-        save_every,
+        preset_state(opt.modes, opt.ic), EquationSpec(opt.variant, opt.sign), opt.dt,
+        opt.T, opt.save_every,
     )
     times = trajectory.times
 
@@ -1077,7 +1071,7 @@ def exp_energy_drift(overrides=None) -> ExperimentReport:
         "N", "sup_t_drift", tuple((float(N), d) for N, d in zip(cutoffs, drifts))
     )
 
-    visible = [(N, d) for N, d in zip(cutoffs, drifts) if d > noise_floor]
+    visible = [(N, d) for N, d in zip(cutoffs, drifts) if d > opt.noise_floor]
     scalars = {f"drift_N{N}": d for N, d in zip(cutoffs, drifts)}
     if len(visible) >= 2:
         slope = float(
@@ -1089,7 +1083,7 @@ def exp_energy_drift(overrides=None) -> ExperimentReport:
         )
         scalars["fitted_slope"] = slope
         verdict = VerdictRecord(
-            "drift_decays_in_cutoff", slope <= slope_max, slope, "slope_max",
+            "drift_decays_in_cutoff", slope <= opt.slope_max, slope, "slope_max",
             "log-log slope over cutoffs above the noise floor; threshold is an "
             "artifact choice",
         )
@@ -1108,18 +1102,18 @@ def exp_energy_drift(overrides=None) -> ExperimentReport:
 # a priori bound probe
 
 
-APRIORI_DEFAULTS = {
-    "variant": "mkdv1",
-    "s": "0.6",
-    "p": "3",
-    "sign": "+1",
-    "modes": "48",
-    "ic": "random_smooth:1.2,7",
-    "amplitudes": "0.25,0.5,1.0,2.0,4.0",
-    "dt": "5e-4",
-    "T": "0.5",
-    "save_every": "10",
-    "growth_limit": "1.5",
+APRIORI_SCHEMA = {
+    "variant": ("mkdv1", variant),
+    "s": ("0.6", number),
+    "p": ("3", number),
+    "sign": ("+1", sign),
+    "modes": ("48", positive(integer)),
+    "ic": ("random_smooth:1.2,7", text),
+    "amplitudes": ("0.25,0.5,1.0,2.0,4.0", increasing(float_list)),
+    "dt": ("5e-4", positive(number)),
+    "T": ("0.5", positive(number)),
+    "save_every": ("10", positive(integer)),
+    "growth_limit": ("1.5", positive(number)),
 }
 
 
@@ -1131,39 +1125,25 @@ def exp_apriori_probe(overrides=None) -> ExperimentReport:
     constant; the family passes when every member finishes and the ratio
     stays stable under amplitude doubling.
     """
-    config = resolve_config(APRIORI_DEFAULTS, overrides)
-    variant = config["variant"]
-    if variant not in VARIANTS:
-        raise ConfigError(
-            f"unknown equation variant {variant!r}; valid: {', '.join(VARIANTS)}"
-        )
-    s = cfg_float(config, "s")
-    p = cfg_float(config, "p")
+    config, opt = parse_config(APRIORI_SCHEMA, overrides)
+    p = opt.p
     if not 2.0 <= p < math.inf:
         raise ConfigError(f"'p' must satisfy 2 <= p < inf, got {p}")
-    if not 0.0 < s < 1.0 - 1.0 / p:
+    if not 0.0 < opt.s < 1.0 - 1.0 / p:
         raise ConfigError(f"'s' must lie in (0, 1 - 1/p) = (0, {1.0 - 1.0/p:g})")
-    sign = cfg_sign(config)
-    modes = _positive(cfg_int(config, "modes"), "modes")
-    amplitudes = cfg_float_list(config, "amplitudes")
-    if len(amplitudes) < 2 or any(a <= 0 for a in amplitudes):
+    if len(opt.amplitudes) < 2 or any(a <= 0 for a in opt.amplitudes):
         raise ConfigError("'amplitudes' needs at least two positive entries")
-    _increasing(amplitudes, "amplitudes")
-    dt = _positive(cfg_float(config, "dt"), "dt")
-    horizon = _positive(cfg_float(config, "T"), "T")
-    save_every = _positive(cfg_int(config, "save_every"), "save_every")
-    growth_limit = _positive(cfg_float(config, "growth_limit"), "growth_limit")
 
-    spec = NormSpec(s, p)
-    base = preset_state(modes, config["ic"])
-    equation = EquationSpec(variant, sign)
+    spec = NormSpec(opt.s, p)
+    base = preset_state(opt.modes, opt.ic)
+    equation = EquationSpec(opt.variant, opt.sign)
 
     def run(amp):
         initial = base.with_(coeffs=base.coeffs * amp)
         norm0 = fl_norm(initial, spec)
         bound = (1.0 + norm0) ** (p / 2.0 - 1.0) * norm0
         try:
-            trajectory = solve(initial, equation, dt, horizon, save_every)
+            trajectory = solve(initial, equation, opt.dt, opt.T, opt.save_every)
         except SolverAbort as abort:
             return amp, None, str(abort), None
         norms = [fl_norm(st, spec) for st in trajectory.states]
@@ -1171,7 +1151,7 @@ def exp_apriori_probe(overrides=None) -> ExperimentReport:
             zip(trajectory.times, norms)
         )
 
-    results = parallel_map(run, amplitudes)
+    results = parallel_map(run, opt.amplitudes)
     failures = [(amp, message) for amp, ratio, message, _ in results if ratio is None]
     ratios = [(amp, ratio) for amp, ratio, _, rows in results if ratio is not None]
 
@@ -1180,8 +1160,8 @@ def exp_apriori_probe(overrides=None) -> ExperimentReport:
     }
     for amp, ratio, _, rows in results:
         if rows is not None:
-            series[f"norm_t_a{amp:g}"] = Series("t", "fl_norm", rows)
-    scalars = {f"ratio_a{amp:g}": ratio for amp, ratio in ratios}
+            series[f"norm_t_a{fmt17(amp)}"] = Series("t", "fl_norm", rows)
+    scalars = {f"ratio_a{fmt17(amp)}": ratio for amp, ratio in ratios}
     if ratios:
         scalars["max_ratio"] = max(r for _, r in ratios)
 
@@ -1193,11 +1173,11 @@ def exp_apriori_probe(overrides=None) -> ExperimentReport:
             "family_completed", not failures,
             "all members" if not failures else f"{len(failures)} aborted",
             "amplitudes",
-            "; ".join(f"amp {amp:g}: {msg}" for amp, msg in failures),
+            "; ".join(f"amp {fmt17(amp)}: {msg}" for amp, msg in failures),
         ),
         VerdictRecord(
             "stable_under_doubling",
-            bool(ratios) and not failures and worst_quotient <= growth_limit,
+            bool(ratios) and not failures and worst_quotient <= opt.growth_limit,
             worst_quotient, "growth_limit",
             "largest ratio quotient across consecutive amplitudes",
         ),
@@ -1212,53 +1192,37 @@ def exp_apriori_probe(overrides=None) -> ExperimentReport:
 # multiplier stabilization
 
 
-MULTIPLIER_DEFAULTS = {
-    "pairs": "0.5:2,0.75:8",
-    "n_list": "0,32,-32,256,-256",
-    "radii": "64,128,256,512,1024,2048,4096",
-    "stab_tol": "0.05",
+MULTIPLIER_SCHEMA = {
+    "pairs": ("0.5:2,0.75:8", pair_list),
+    "n_list": ("0,32,-32,256,-256", int_list),
+    "radii": ("64,128,256,512,1024,2048,4096", int_list),
+    "stab_tol": ("0.05", positive(number)),
 }
 
 
 def exp_multiplier_probe(overrides=None) -> ExperimentReport:
     """Truncated multiplier sums stabilize as the summation radius doubles."""
-    config = resolve_config(MULTIPLIER_DEFAULTS, overrides)
-    pairs = []
-    for item in config["pairs"].split(","):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            s_text, p_text = item.split(":")
-            pairs.append((float(s_text), float(p_text)))
-        except ValueError:
-            raise ConfigError(
-                f"malformed (s,p) pair {item!r}; expected 's:p'"
-            ) from None
-    if not pairs:
-        raise ConfigError("'pairs' must list at least one s:p pair")
-    n_list = cfg_int_list(config, "n_list")
+    config, opt = parse_config(MULTIPLIER_SCHEMA, overrides)
+    n_list, radii = opt.n_list, opt.radii
     if not n_list:
         raise ConfigError("'n_list' must not be empty")
-    radii = cfg_int_list(config, "radii")
     if len(radii) < 3:
         raise ConfigError("'radii' needs at least three entries")
     if any(b != 2 * a for a, b in zip(radii, radii[1:])) or radii[0] < 1:
         raise ConfigError("'radii' must double at each step from a positive start")
-    stab_tol = _positive(cfg_float(config, "stab_tol"), "stab_tol")
 
     def run(args):
         s, p, n = args
         return tuple(j1_multiplier_sum(n, s, p, K) for K in radii)
 
-    jobs = [(s, p, n) for s, p in pairs for n in n_list]
+    jobs = [(s, p, n) for s, p in opt.pairs for n in n_list]
     values = dict(zip(jobs, parallel_map(run, jobs)))
 
     series = {}
     scalars = {}
     verdicts = []
-    for s, p in pairs:
-        tag = f"s{s:g}_p{p:g}"
+    for s, p in opt.pairs:
+        tag = f"s{fmt17(s)}_p{fmt17(p)}"
         worst_change = 0.0
         for n in n_list:
             sums = values[(s, p, n)]
@@ -1272,7 +1236,7 @@ def exp_multiplier_probe(overrides=None) -> ExperimentReport:
         scalars[f"worst_change_{tag}"] = worst_change
         verdicts.append(
             VerdictRecord(
-                f"stabilized_{tag}", worst_change <= stab_tol, worst_change,
+                f"stabilized_{tag}", worst_change <= opt.stab_tol, worst_change,
                 "stab_tol", "largest relative change over the last two doublings",
             )
         )
@@ -1286,14 +1250,14 @@ def exp_multiplier_probe(overrides=None) -> ExperimentReport:
 
 
 EXPERIMENTS = {
-    "conservation": (CONSERVATION_DEFAULTS, exp_conservation),
-    "gauge_equivalence": (GAUGE_EQUIVALENCE_DEFAULTS, exp_gauge_equivalence),
-    "nonexistence": (NONEXISTENCE_DEFAULTS, exp_nonexistence),
-    "illposedness": (ILLPOSEDNESS_DEFAULTS, exp_illposedness),
-    "random_momentum": (RANDOM_MOMENTUM_DEFAULTS, exp_random_momentum),
-    "energy_drift": (ENERGY_DRIFT_DEFAULTS, exp_energy_drift),
-    "apriori_probe": (APRIORI_DEFAULTS, exp_apriori_probe),
-    "multiplier_probe": (MULTIPLIER_DEFAULTS, exp_multiplier_probe),
+    "conservation": (CONSERVATION_SCHEMA, exp_conservation),
+    "gauge_equivalence": (GAUGE_EQUIVALENCE_SCHEMA, exp_gauge_equivalence),
+    "nonexistence": (NONEXISTENCE_SCHEMA, exp_nonexistence),
+    "illposedness": (ILLPOSEDNESS_SCHEMA, exp_illposedness),
+    "random_momentum": (RANDOM_MOMENTUM_SCHEMA, exp_random_momentum),
+    "energy_drift": (ENERGY_DRIFT_SCHEMA, exp_energy_drift),
+    "apriori_probe": (APRIORI_SCHEMA, exp_apriori_probe),
+    "multiplier_probe": (MULTIPLIER_SCHEMA, exp_multiplier_probe),
 }
 
 

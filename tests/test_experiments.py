@@ -18,6 +18,8 @@ from mkdvlab.experiments import (
     write_report,
 )
 from mkdvlab.io import canonical_json
+from mkdvlab.norms import mass
+from mkdvlab.presets import preset_state
 
 
 # ------------------------------------------------------------------ config
@@ -136,11 +138,14 @@ def test_conservation_smoke():
     report = run_experiment(
         "conservation",
         {"modes": "8", "dt": "1e-3", "T": "0.05", "save_every": "10",
-         "seeds": "0,1"},
+         "seeds": "0,1", "ic": "random_smooth:1.2345678,0"},
     )
     assert report.all_passed
     assert "mkdv2_mass_drift" in report.scalars
     assert set(report.series) >= {"mkdv_mass", "mkdv1_momentum", "mkdv2_fl_half_2"}
+    # the seed sweep keeps the decay exactly as given, not rounded to 6 digits
+    first_member = preset_state(8, "random_smooth:1.2345678,0")
+    assert report.series["mkdv_mass"].rows[0][1] == mass(first_member)
 
 
 def test_conservation_seeds_need_random_preset():
@@ -189,6 +194,8 @@ def test_random_momentum_control_and_crosscheck():
 def test_random_momentum_rejects_tiny_sample():
     with pytest.raises(ConfigError):
         run_experiment("random_momentum", {"samples": "50"})
+    with pytest.raises(ConfigError, match="seed"):
+        run_experiment("random_momentum", {"seed": "-1"})
 
 
 def test_energy_drift_smoke():
@@ -217,6 +224,14 @@ def test_apriori_smoke():
     )
     assert report.all_passed
     assert "ratio_vs_amplitude" in report.series
+    # amplitudes that agree to 6 digits still get one series and scalar each
+    close = run_experiment(
+        "apriori_probe",
+        {"modes": "16", "amplitudes": "1.0000001,1.0000002", "dt": "1e-3",
+         "T": "0.05", "save_every": "10"},
+    )
+    assert len([k for k in close.series if k.startswith("norm_t_a")]) == 2
+    assert len([k for k in close.scalars if k.startswith("ratio_a")]) == 2
 
 
 def test_apriori_validates_exponents():
@@ -241,6 +256,9 @@ def test_multiplier_probe_validates_radii():
         run_experiment("multiplier_probe", {"radii": "8,12"})  # not doubling
     with pytest.raises(ConfigError):
         run_experiment("multiplier_probe", {"pairs": "0.5-2"})
+    for pairs in ("nan:2", "0.5:0.5"):  # s must be finite, p >= 1
+        with pytest.raises(ConfigError):
+            run_experiment("multiplier_probe", {"pairs": pairs})
 
 
 def test_nonexistence_reduced_smoke():
@@ -274,3 +292,5 @@ def test_nonexistence_schedule_validation():
         run_experiment("nonexistence", {"schedule": "64,512", "modes": "256"})
     with pytest.raises(ConfigError):
         run_experiment("nonexistence", {"alpha": "2.0"})  # momentum converges
+    with pytest.raises(ConfigError):
+        run_experiment("nonexistence", {"dt_cap": "-1"})

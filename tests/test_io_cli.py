@@ -183,6 +183,9 @@ def test_cli_norms_csv_and_json(tmp_path, capsys):
     assert payload["norms"][0]["value"] == pytest.approx(
         (26.0 ** 0.25) * 5.0 ** -0.5, rel=1e-12
     )
+    # p = inf is the sup norm
+    assert run_cli("norms", "--state", str(state_path), "--s", "0.5", "--p", "inf") == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("0.5,inf,")
 
 
 def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
@@ -239,6 +242,10 @@ def test_cli_exit_codes(tmp_path):
             "--out", str(tmp_path / "d"),
         )
     assert code == 2
+    # the partial trajectory and the diagnostic are kept
+    assert (tmp_path / "d" / "states" / "state_000000.csv").exists()
+    manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+    assert "mass drifted" in manifest["abort"]
 
 
 def test_cli_experiment_report_and_verdict_exit(tmp_path, capsys):
