@@ -10,6 +10,7 @@ failure (after the report is written).
 
 from __future__ import annotations
 
+import math
 import pathlib
 import sys
 
@@ -159,6 +160,11 @@ NORMS_SCHEMA = {
 }
 
 
+def _json_number(value: float):
+    """JSON has no infinities or NaN: write those as the CSV's fmt17 text."""
+    return value if math.isfinite(value) else fmt17(value)
+
+
 @cli.command(name="norms")
 @click.option("--state", default=None, help="serialized state (.csv or .json)")
 @click.option("--s", default=None, help="comma list of regularities")
@@ -189,7 +195,8 @@ def norms_command(config_path, pretty, **flags):
             "mass": mass(loaded),
             "momentum": momentum(loaded),
             "norms": [
-                {"s": s_val, "p": p_val, "value": value}
+                {"s": _json_number(s_val), "p": _json_number(p_val),
+                 "value": _json_number(value)}
                 for s_val, p_val, value in rows
             ],
         }
@@ -253,6 +260,9 @@ def main(argv=None) -> None:
         sys.exit(1)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
+        sys.exit(1)
+    except FileNotFoundError as exc:
+        click.echo(f"missing path: {exc}", err=True)
         sys.exit(1)
     except SolverAbort as exc:
         click.echo(f"numerical abort: {exc}", err=True)

@@ -11,9 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-import os
 import pathlib
-from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,9 +39,6 @@ from .norms import (
 )
 from .presets import parse_preset, preset_state
 from .spectral import FourierState, project_high, project_low, state_from_modes
-
-THREADS_ENV = "MKDV_LAB_THREADS"
-
 
 # ---------------------------------------------------------------------------
 # report plumbing
@@ -294,26 +289,6 @@ variant_list = some_of(variant)
 pair_list = some_of(sp_pair)
 
 
-def thread_workers() -> int:
-    """Worker count from MKDV_LAB_THREADS; absent or <= 1 means serial."""
-    raw = os.environ.get(THREADS_ENV, "1").strip() or "1"
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, workers)
-
-
-def parallel_map(fn, items) -> list:
-    """Order-preserving map over independent members, threaded when asked."""
-    items = list(items)
-    workers = min(thread_workers(), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # shared numerics
 
@@ -413,8 +388,7 @@ def exp_conservation(overrides=None) -> ExperimentReport:
 
     fl_spec = NormSpec(0.5, 2)
 
-    def run(member):
-        variant, preset = member
+    def run(variant, preset):
         trajectory = solve(
             preset_state(opt.modes, preset), EquationSpec(variant, opt.sign), opt.dt,
             opt.T, opt.save_every,
@@ -424,7 +398,7 @@ def exp_conservation(overrides=None) -> ExperimentReport:
         fls = np.array([fl_norm(st, fl_spec) for st in trajectory.states])
         return variant, trajectory.times, masses, momenta, fls
 
-    results = parallel_map(run, members)
+    results = [run(variant, preset) for variant, preset in members]
 
     series: dict[str, Series] = {}
     scalars: dict[str, float] = {}
@@ -499,7 +473,7 @@ def exp_gauge_equivalence(overrides=None) -> ExperimentReport:
             initial, EquationSpec(variant, opt.sign), opt.dt, opt.T, opt.save_every
         )
 
-    traj_plain, traj_first, traj_second = parallel_map(run, list(VARIANTS))
+    traj_plain, traj_first, traj_second = [run(variant) for variant in VARIANTS]
     gauged_once = apply_gauge1(traj_plain)
     gauged_twice = apply_gauge2(gauged_once)
     gauged_second = apply_gauge2(traj_first)
@@ -617,8 +591,7 @@ def exp_nonexistence(overrides=None) -> ExperimentReport:
 
     equation = EquationSpec("mkdv2", sign)
 
-    def run(args):
-        cap, cutoff, symmetric = args
+    def run(cap, cutoff, symmetric):
         base = preset_state(cap, f"one_sided:{config['alpha']}")
         truncated = project_low(base, cutoff)
         if symmetric:
@@ -635,7 +608,7 @@ def exp_nonexistence(overrides=None) -> ExperimentReport:
         pairing = _window_pairing(u_states, opt.T, opt.pairing_mode)
         return trajectory, u_states, rate, pairing
 
-    main_runs = parallel_map(run, [(opt.modes, N, False) for N in schedule])
+    main_runs = [run(opt.modes, N, False) for N in schedule]
 
     v_gaps = []
     u_gaps = []
@@ -668,9 +641,7 @@ def exp_nonexistence(overrides=None) -> ExperimentReport:
         for (_, _, rate, _), N in zip(main_runs, schedule)
     )
 
-    control_runs = parallel_map(
-        run, [(opt.control_modes, N, True) for N in control_schedule]
-    )
+    control_runs = [run(opt.control_modes, N, True) for N in control_schedule]
     control_mom_max = max(abs(rate) for _, _, rate, _ in control_runs)
     control_gauge_gap = max(
         _sup_fl_gap(traj.states, u_states, u_spec)
@@ -844,7 +815,7 @@ def exp_illposedness(overrides=None) -> ExperimentReport:
         largest = max(largest, abs(solver_gap - analytic_gap))
         return N, t_n, initial_gap, analytic_gap, solver_gap, largest
 
-    results = parallel_map(run, n_list)
+    results = [run(n) for n in n_list]
     Ns = [r[0] for r in results]
     t_ns = [r[1] for r in results]
     initial_gaps = [r[2] for r in results]
@@ -1151,7 +1122,7 @@ def exp_apriori_probe(overrides=None) -> ExperimentReport:
             zip(trajectory.times, norms)
         )
 
-    results = parallel_map(run, opt.amplitudes)
+    results = [run(amp) for amp in opt.amplitudes]
     failures = [(amp, message) for amp, ratio, message, _ in results if ratio is None]
     ratios = [(amp, ratio) for amp, ratio, _, rows in results if ratio is not None]
 
@@ -1211,12 +1182,11 @@ def exp_multiplier_probe(overrides=None) -> ExperimentReport:
     if any(b != 2 * a for a, b in zip(radii, radii[1:])) or radii[0] < 1:
         raise ConfigError("'radii' must double at each step from a positive start")
 
-    def run(args):
-        s, p, n = args
-        return tuple(j1_multiplier_sum(n, s, p, K) for K in radii)
-
-    jobs = [(s, p, n) for s, p in opt.pairs for n in n_list]
-    values = dict(zip(jobs, parallel_map(run, jobs)))
+    values = {
+        (s, p, n): tuple(j1_multiplier_sum(n, s, p, K) for K in radii)
+        for s, p in opt.pairs
+        for n in n_list
+    }
 
     series = {}
     scalars = {}

@@ -291,9 +291,12 @@ def test_phase_schedule_divides_exactly():
 # ------------------------------------------------------------ multiplier sum
 
 def dense_j1(n, s, p, radius):
-    """Direct triple loop over the truncation; the chunked path's oracle."""
+    """Direct triple loop over the truncation; the oracle at small radii."""
     best, total = 0.0, 0.0
-    conjugate = p / (p - 1.0) if p > 1.0 else None
+    if p == 1.0:
+        conjugate = None
+    else:
+        conjugate = 1.0 if math.isinf(p) else p / (p - 1.0)
     for n1 in range(-radius, radius + 1):
         for n2 in range(-radius, radius + 1):
             n3 = n - n1 - n2
@@ -317,11 +320,67 @@ def dense_j1(n, s, p, radius):
     return best if conjugate is None else total
 
 
-@pytest.mark.parametrize("n,s,p", [(0, 0.5, 2.0), (5, 0.75, 8.0), (-3, 0.5, 1.0)])
+def blocked_j1(n, s, p, radius):
+    """Dense (n1, n2) grid in row blocks, vectorised; the oracle at large radii."""
+    if p == 1.0:
+        conjugate = None
+    else:
+        conjugate = 1.0 if math.isinf(p) else p / (p - 1.0)
+    span = np.arange(-radius, radius + 1)
+    n2 = span[None, :]
+    total = 0.0
+    block = max(1, (1 << 22) // (2 * radius + 1))
+    for start in range(0, len(span), block):
+        n1 = span[start : start + block, None]
+        n3 = n - n1 - n2
+        s12, s13, s23 = n1 + n2, n1 + n3, n2 + n3
+        valid = (s12 != 0) & (s13 != 0) & (s23 != 0)
+        phi = 3.0 * np.abs(
+            s12.astype(np.float64) * s13.astype(np.float64) * s23.astype(np.float64)
+        )
+        phi[~valid] = 1.0
+        weight = (1.0 + n * n) ** (s / 2) * np.abs(n3) / (
+            np.sqrt(phi)
+            * (1.0 + n1 * n1) ** (s / 2)
+            * (1.0 + n2 * n2) ** (s / 2)
+            * (1.0 + n3 * n3.astype(np.float64)) ** (s / 2)
+        )
+        weight[~valid] = 0.0
+        if conjugate is None:
+            total = max(total, float(np.max(weight)))
+        else:
+            total += float(np.sum(weight**conjugate))
+    return total
+
+
+@pytest.mark.parametrize(
+    "n,s,p",
+    [(0, 0.5, 2.0), (5, 0.75, 8.0), (-3, 0.5, 1.0), (2, 0.5, math.inf)],
+)
 def test_j1_matches_dense_loop(n, s, p):
     for radius in (4, 9):
-        assert j1_multiplier_sum(n, s, p, radius) == pytest.approx(
-            dense_j1(n, s, p, radius), rel=1e-12
+        expected = dense_j1(n, s, p, radius)
+        assert j1_multiplier_sum(n, s, p, radius) == pytest.approx(expected, rel=1e-12)
+        assert blocked_j1(n, s, p, radius) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("s,p", [(0.5, 2.0), (0.75, 8.0), (0.5, math.inf)])
+def test_j1_convolution_matches_blocked_oracle(s, p):
+    # n = 512 lies outside the summation window at radius 256
+    for radius in (256, 512):
+        for n in (0, 32, -256, 512):
+            assert j1_multiplier_sum(n, s, p, radius) == pytest.approx(
+                blocked_j1(n, s, p, radius), rel=1e-12
+            )
+
+
+@pytest.mark.parametrize("s,p", [(0.0, 1.05), (0.25, 1.2)])
+def test_j1_direct_convolution_where_fft_rounding_dominates(s, p):
+    # s < 1/2 with p near 1: c(m) grows like |m|^{(1/2-s)p'} where a*a is
+    # below the FFT's rounding, which then swamps the sum
+    for n in (0, -40):
+        assert j1_multiplier_sum(n, s, p, 256) == pytest.approx(
+            blocked_j1(n, s, p, 256), rel=1e-12
         )
 
 
@@ -332,9 +391,11 @@ def test_j1_empty_and_monotone():
 
 
 def test_j1_chunking_is_seamless():
-    # radius 70 forces multiple row blocks at the 2^22 budget? no; the
-    # block size shrinks with radius, so just pin one mid-size value
-    # against the dense loop once (slow but definitive).
+    # the sup flavor scans rows in blocks of 2^22 // (2R+1): two at R = 1100;
+    # at (n, s) = (1000, 0) the largest term lies in the second block
+    for n, s in ((0, 0.5), (1000, 0.0)):
+        got = j1_multiplier_sum(n, s, 1.0, 1100)
+        assert got == pytest.approx(blocked_j1(n, s, 1.0, 1100), rel=1e-12)
     got = j1_multiplier_sum(2, 0.75, 8.0, 24)
     assert got == pytest.approx(dense_j1(2, 0.75, 8.0, 24), rel=1e-12)
 
@@ -342,5 +403,7 @@ def test_j1_chunking_is_seamless():
 def test_j1_validation():
     with pytest.raises(ValueError):
         j1_multiplier_sum(0, 0.5, 0.5, 8)
+    with pytest.raises(ValueError):
+        j1_multiplier_sum(0, 0.5, math.nan, 8)
     with pytest.raises(ValueError):
         j1_multiplier_sum(0, 0.5, 2.0, -1)

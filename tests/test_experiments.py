@@ -11,10 +11,8 @@ from mkdvlab.experiments import (
     VerdictRecord,
     _illposedness_frequency,
     _pseries_block_ratio,
-    parallel_map,
     resolve_config,
     run_experiment,
-    thread_workers,
     write_report,
 )
 from mkdvlab.io import canonical_json
@@ -54,24 +52,6 @@ def test_pseries_block_ratio_tracks_exponent():
     assert _pseries_block_ratio(0.8) == pytest.approx(2**0.2, abs=2e-3)
     assert _pseries_block_ratio(1.2) == pytest.approx(2**-0.2, abs=2e-3)
     assert _pseries_block_ratio(2.0) == pytest.approx(0.5, abs=2e-3)
-
-
-def test_thread_workers_env(monkeypatch):
-    monkeypatch.delenv("MKDV_LAB_THREADS", raising=False)
-    assert thread_workers() == 1
-    monkeypatch.setenv("MKDV_LAB_THREADS", "4")
-    assert thread_workers() == 4
-    monkeypatch.setenv("MKDV_LAB_THREADS", "not-a-number")
-    with pytest.raises(ConfigError):
-        thread_workers()
-
-
-def test_parallel_map_preserves_order(monkeypatch):
-    items = list(range(20))
-    monkeypatch.setenv("MKDV_LAB_THREADS", "4")
-    assert parallel_map(lambda x: x * x, items) == [x * x for x in items]
-    monkeypatch.delenv("MKDV_LAB_THREADS")
-    assert parallel_map(lambda x: -x, items) == [-x for x in items]
 
 
 # ----------------------------------------------------------------- reports

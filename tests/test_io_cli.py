@@ -183,9 +183,18 @@ def test_cli_norms_csv_and_json(tmp_path, capsys):
     assert payload["norms"][0]["value"] == pytest.approx(
         (26.0 ** 0.25) * 5.0 ** -0.5, rel=1e-12
     )
-    # p = inf is the sup norm
-    assert run_cli("norms", "--state", str(state_path), "--s", "0.5", "--p", "inf") == 0
-    assert capsys.readouterr().out.splitlines()[1].startswith("0.5,inf,")
+    # p = inf is the sup norm; JSON has no infinity, so p is written as text
+    code = run_cli(
+        "norms", "--state", str(state_path), "--s", "0.5", "--p", "inf",
+        "--out", str(out_path),
+    )
+    assert code == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row.startswith("0.5,inf,")
+    payload = json.loads(out_path.read_text())
+    assert payload["norms"] == [
+        {"s": 0.5, "p": "inf", "value": float(row.split(",")[2])}
+    ]
 
 
 def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
@@ -217,7 +226,7 @@ def test_cli_rejects_malformed_config(tmp_path):
     assert run_cli("solve", "--config", str(unknown), "--out", "x") == 1
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     # usage error: missing required ic
     assert run_cli(
         "solve", "--eq", "mkdv", "--out", str(tmp_path / "a")
@@ -246,6 +255,17 @@ def test_cli_exit_codes(tmp_path):
     assert (tmp_path / "d" / "states" / "state_000000.csv").exists()
     manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
     assert "mass drifted" in manifest["abort"]
+    capsys.readouterr()
+    # missing input paths: a one-line error, no traceback
+    for argv in (
+        ("gauge", "--traj", str(tmp_path / "nowhere"), "--out", str(tmp_path / "e")),
+        ("norms", "--state", str(tmp_path / "nowhere.csv")),
+    ):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert "nowhere" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_cli_experiment_report_and_verdict_exit(tmp_path, capsys):

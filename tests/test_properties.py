@@ -1,9 +1,18 @@
 """Invariants checked over generated inputs."""
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from mkdvlab.dynamics import EquationSpec, nonlinearity, phase_schedule, phi_resonance
+from mkdvlab.dynamics import (
+    EquationSpec,
+    j1_multiplier_sum,
+    nonlinearity,
+    phase_schedule,
+    phi_resonance,
+)
 from mkdvlab.io import state_from_csv_text, state_to_csv_text
 from mkdvlab.norms import NormSpec, fl_norm, mass, momentum
 from mkdvlab.spectral import (
@@ -120,3 +129,23 @@ def test_phase_schedule_invariants(total, dt_cap, save_points):
     assert dt <= dt_cap * (1 + 1e-9)
     assert save_every >= 1
     assert np.isclose(dt * save_every * save_points, total, rtol=1e-9)
+
+
+@given(
+    st.integers(min_value=-300, max_value=300),
+    st.floats(min_value=-0.5, max_value=1.5, allow_nan=False),
+    st.one_of(
+        st.sampled_from([1.0, 2.0, 8.0, math.inf]),
+        st.floats(min_value=1.05, max_value=20.0, allow_nan=False),
+    ),
+    st.integers(min_value=1, max_value=200),
+    st.integers(min_value=1, max_value=200),
+)
+@settings(max_examples=60, deadline=None)
+def test_j1_even_in_n_and_nondecreasing_in_radius(n, s, p, r1, r2):
+    # the triple set at -n is the mirror image of the one at n, and a
+    # larger radius only adds nonnegative terms
+    small, large = sorted((r1, r2))
+    value = j1_multiplier_sum(n, s, p, small)
+    assert j1_multiplier_sum(-n, s, p, small) == pytest.approx(value, rel=1e-12)
+    assert j1_multiplier_sum(n, s, p, large) >= value * (1.0 - 1e-12)
