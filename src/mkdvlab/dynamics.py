@@ -26,7 +26,8 @@ from .errors import SolverAbort, StabilityWarning
 from .norms import NormSpec, fl_norm, japanese_bracket
 from .spectral import (
     FourierState,
-    _embed_indices,
+    _gather_modes,
+    _spread_modes,
     padded_grid_size,
     synthesis,
 )
@@ -138,41 +139,70 @@ def lambda_membership(n: int, n1: int, n2: int, n3: int) -> bool:
     return (n1 + n2) != 0 and (n1 + n3) != 0 and (n2 + n3) != 0
 
 
-def _rhs_builder(cap: int, equation: EquationSpec):
-    """Signed right-hand-side transform on raw coefficient arrays."""
+#: Whether each variant subtracts the mean transport mu (in) u_hat and the
+#: momentum phase i P(u) u_hat from the full cubic term.
+_SUBTRACTS = {"mkdv": (False, False), "mkdv1": (True, False), "mkdv2": (True, True)}
+
+
+def _rhs_builder(cap: int, equations: Sequence[EquationSpec]):
+    """Signed right-hand side on a (B, 2M+1) stack, row b under equations[b].
+
+    Rows never mix: every FFT, product and reduction works row by row, so
+    a row's value does not depend on the other rows or on B.  The scalars
+    mu and P(u) are computed only when some row subtracts them, and only
+    those rows are changed.  The sign is folded into the FFT scale and the
+    scalars; multiplying by -1 is exact, so that costs no rounding.
+    """
     num_points = padded_grid_size(cap)
-    embed = _embed_indices(cap, num_points)
-    nvec = np.arange(-cap, cap + 1).astype(np.float64)
+    # per-mode factors are (1, L) rows, which numpy combines with a B = 1
+    # stack faster than (L,) vectors
+    nvec = np.arange(-cap, cap + 1).astype(np.float64)[None]
     deriv = 1j * nvec
-    scale = float(num_points) * float(num_points)
-    subtract_mean = equation.variant in ("mkdv1", "mkdv2")
-    subtract_momentum = equation.variant == "mkdv2"
-    sign = float(equation.sign)
+    paired_nvec = np.repeat(nvec, 2, axis=-1)
+    padded_deriv = _spread_modes(deriv, cap, np.zeros((1, num_points), dtype=np.complex128))
+    # complex, so that the products with complex arrays below need no cast
+    sign = np.array([[complex(eq.sign)] for eq in equations])
+    signed_scale = sign * (float(num_points) * float(num_points))
+    # where= masks of the rows that subtract each term; True when every row
+    # does, which lets numpy run its faster unmasked loop
+    mean_rows, momentum_rows = (
+        True if rows.all() else rows
+        for rows in np.array([_SUBTRACTS[eq.variant] for eq in equations]).T[:, :, None]
+    )
+    subtract_mean = bool(np.any(mean_rows))
+    subtract_momentum = bool(np.any(momentum_rows))
+    # u_hat and (in) u_hat on the padded grid; the band between M and K-M
+    # stays zero
+    spread = np.zeros((2, len(equations), num_points), dtype=np.complex128)
 
     def rhs(coeffs: np.ndarray) -> np.ndarray:
-        spread = np.zeros(num_points, dtype=np.complex128)
-        spread[embed] = coeffs
-        phys = sfft.ifft(spread)
-        spread2 = np.zeros(num_points, dtype=np.complex128)
-        spread2[embed] = deriv * coeffs
-        phys_dx = sfft.ifft(spread2)
-        cubic = sfft.fft(phys * np.conj(phys) * phys_dx)[embed] * scale
+        _spread_modes(coeffs, cap, spread[0])
+        np.multiply(padded_deriv, spread[0], out=spread[1])
+        phys, phys_dx = sfft.ifft(spread)
+        product = phys * np.conj(phys)
+        product *= phys_dx
+        cubic = _gather_modes(sfft.fft(product, overwrite_x=True), cap)
+        cubic *= signed_scale
+        if subtract_mean or subtract_momentum:
+            # re^2 and im^2 of every mode, side by side in each row
+            squares = np.square(coeffs.view(np.float64))
         if subtract_mean:
-            mu = float(np.vdot(coeffs, coeffs).real)
-            cubic = cubic - mu * (deriv * coeffs)
+            mu = np.add.reduce(squares, axis=-1, keepdims=True)
+            term = (sign * mu) * (deriv * coeffs)
+            np.subtract(cubic, term, out=cubic, where=mean_rows)
         if subtract_momentum:
-            mags = coeffs.real**2 + coeffs.imag**2
-            mom = float(np.sum(nvec * mags))
-            cubic = cubic - 1j * mom * coeffs
-        return sign * cubic
+            mom = np.add.reduce(paired_nvec * squares, axis=-1, keepdims=True)
+            term = 1j * (sign * mom) * coeffs
+            np.subtract(cubic, term, out=cubic, where=momentum_rows)
+        return cubic
 
     return rhs
 
 
 def nonlinearity(state: FourierState, equation: EquationSpec) -> FourierState:
     """Signed right-hand side of the chosen equation, dealiased."""
-    rhs = _rhs_builder(state.mode_cap, equation)
-    return state.with_(coeffs=rhs(state.coeffs))
+    rhs = _rhs_builder(state.mode_cap, (equation,))
+    return state.with_(coeffs=rhs(state.coeffs[None])[0])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -341,28 +371,48 @@ def stability_dt_limit(state: FourierState) -> float:
     return 0.5 / (state.mode_cap * peak * peak + 1.0)
 
 
-def _ifrk4_stepper(cap: int, equation: EquationSpec, dt: float):
-    """One integrating-factor RK4 step on raw coefficient arrays.
+def _ifrk4_stepper(cap: int, equations: Sequence[EquationSpec], dt: float):
+    """One integrating-factor RK4 step on a (B, 2M+1) coefficient stack.
 
     Works on w = S(-t) u_hat, re-referenced to the step start, so the
     linear phases are applied exactly and only the cubic term is sampled.
     The mkdv2 momentum scalar is recomputed at every stage inside rhs.
     """
-    rhs = _rhs_builder(cap, equation)
-    ncube = np.arange(-cap, cap + 1).astype(np.float64) ** 3
+    rhs = _rhs_builder(cap, equations)
+    ncube = np.arange(-cap, cap + 1).astype(np.float64)[None] ** 3
     half_prop = np.exp(1j * ncube * (dt / 2.0))
     full_prop = half_prop * half_prop
     half_back = np.conj(half_prop)
     full_back = np.conj(full_prop)
 
+    def stage(u, k, factor, prop):
+        # prop * (u + factor * k) in one new array, operands in the order
+        # of the formula so that the rounding is the formula's
+        out = np.multiply(factor, k)
+        out += u
+        return np.multiply(prop, out, out=out)
+
     def advance(u: np.ndarray) -> np.ndarray:
         k1 = rhs(u)
-        k2 = half_back * rhs(half_prop * (u + (dt / 2.0) * k1))
-        k3 = half_back * rhs(half_prop * (u + (dt / 2.0) * k2))
-        k4 = full_back * rhs(full_prop * (u + dt * k3))
-        return full_prop * (u + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
+        k2 = rhs(stage(u, k1, dt / 2.0, half_prop))
+        np.multiply(half_back, k2, out=k2)
+        k3 = rhs(stage(u, k2, dt / 2.0, half_prop))
+        np.multiply(half_back, k3, out=k3)
+        k4 = rhs(stage(u, k3, dt, full_prop))
+        np.multiply(full_back, k4, out=k4)
+        # full_prop * (u + (dt/6) (k1 + 2 (k2 + k3) + k4))
+        k2 += k3
+        np.multiply(2.0, k2, out=k2)
+        np.add(k1, k2, out=k2)
+        k2 += k4
+        return stage(u, k2, dt / 6.0, full_prop)
 
     return advance
+
+
+def _row_mass(coeffs: np.ndarray) -> list[float]:
+    """Mass of each row of a C-contiguous stack, independent of the others."""
+    return np.add.reduce(np.square(coeffs.view(np.float64)), axis=-1).tolist()
 
 
 def step(state: FourierState, equation: EquationSpec, dt: float) -> FourierState:
@@ -371,8 +421,8 @@ def step(state: FourierState, equation: EquationSpec, dt: float) -> FourierState
         raise ValueError("dt must be positive")
     if not np.isfinite(state.coeffs).all():
         raise SolverAbort(f"non-finite state at t = {state.time}")
-    advance = _ifrk4_stepper(state.mode_cap, equation, float(dt))
-    out = advance(state.coeffs)
+    advance = _ifrk4_stepper(state.mode_cap, (equation,), float(dt))
+    out = advance(state.coeffs[None])[0]
     if not np.isfinite(out).all():
         raise SolverAbort(f"non-finite state produced at t = {state.time + dt}")
     return state.with_(coeffs=out, time=state.time + float(dt))
@@ -390,8 +440,45 @@ def solve(
     dt must divide the horizon within rounding, and the step count must be
     a multiple of save_every so the final time is always saved.  Aborts
     (with the partial trajectory attached) when the mass drifts more than
-    1% between consecutive steps or a state stops being finite.
+    1% between consecutive steps or a state stops being finite.  This is
+    ``solve_many`` with one member.
     """
+    return raise_first_abort(solve_many((state,), (equation,), dt, horizon, save_every))[0]
+
+
+def raise_first_abort(results: Sequence[Trajectory | SolverAbort]) -> list[Trajectory]:
+    """The trajectories of ``solve_many``; raises its first member's abort."""
+    for result in results:
+        if isinstance(result, SolverAbort):
+            raise result
+    return list(results)
+
+
+def solve_many(
+    states: Sequence[FourierState],
+    equations: Sequence[EquationSpec],
+    dt: float,
+    horizon: float,
+    save_every: int = 1,
+) -> list[Trajectory | SolverAbort]:
+    """``solve`` for several members at once, stepped as one (B, 2M+1) stack.
+
+    Member b starts from states[b] under equations[b]; all members share
+    mode_cap, dt, horizon and save_every.  Rows never mix, so each member's
+    trajectory is bitwise the one it gets when solved alone.  The checks
+    stay per member: the stability warning (issued in member order), the
+    finite check and the 1% mass-drift abort.  An aborting member's row is
+    zeroed and frozen while the others go on; its entry in the returned
+    list is the SolverAbort, with the partial trajectory, that ``solve``
+    raises for it.
+    """
+    states = tuple(states)
+    equations = tuple(equations)
+    if not states or len(states) != len(equations):
+        raise ValueError("solve_many needs one equation per state, and at least one")
+    cap = states[0].mode_cap
+    if any(st.mode_cap != cap for st in states):
+        raise ValueError("all members must share one mode_cap")
     dt = float(dt)
     horizon = float(horizon)
     if dt <= 0.0 or horizon <= 0.0:
@@ -405,53 +492,69 @@ def solve(
     if save_every < 1 or n_steps % save_every != 0:
         raise ValueError("save_every must be >= 1 and divide the step count")
 
-    dt_limit = stability_dt_limit(state)
-    meta_warnings = []
-    if dt > dt_limit * (1.0 + 1e-12):
-        message = (
-            f"dt = {dt:g} exceeds the stability heuristic "
-            f"0.5/(M max|u|^2 + 1) = {dt_limit:g}"
+    metadata = []
+    for state in states:
+        dt_limit = stability_dt_limit(state)
+        meta_warnings = []
+        if dt > dt_limit * (1.0 + 1e-12):
+            message = (
+                f"dt = {dt:g} exceeds the stability heuristic "
+                f"0.5/(M max|u|^2 + 1) = {dt_limit:g}"
+            )
+            warnings.warn(message, StabilityWarning)
+            meta_warnings.append(message)
+        metadata.append({
+            "dt_step": dt,
+            "save_every": save_every,
+            "n_steps": n_steps,
+            "padded_grid": padded_grid_size(cap),
+            "stability_dt": dt_limit,
+            "warnings": tuple(meta_warnings),
+        })
+
+    advance = _ifrk4_stepper(cap, equations, dt)
+    current = np.array([st.coeffs for st in states])
+    saved = [[st] for st in states]
+    results: list[Trajectory | SolverAbort | None] = [None] * len(states)
+    starts = [st.time for st in states]
+    mass_prev = _row_mass(current)
+    mass_floor = [1e-13 * max(1.0, m) for m in mass_prev]
+
+    def partial(row: int) -> Trajectory:
+        return Trajectory(
+            tuple(saved[row]), dt * save_every, equations[row], dict(metadata[row])
         )
-        warnings.warn(message, StabilityWarning)
-        meta_warnings.append(message)
 
-    metadata = {
-        "dt_step": dt,
-        "save_every": save_every,
-        "n_steps": n_steps,
-        "padded_grid": padded_grid_size(state.mode_cap),
-        "stability_dt": dt_limit,
-        "warnings": tuple(meta_warnings),
-    }
-
-    advance = _ifrk4_stepper(state.mode_cap, equation, dt)
-    t0 = state.time
-    current = state.coeffs.copy()
-    saved = [state]
-    mass_prev = float(np.vdot(current, current).real)
-    mass_floor = 1e-13 * max(1.0, mass_prev)
-
-    def partial() -> Trajectory:
-        return Trajectory(tuple(saved), dt * save_every, equation, dict(metadata))
-
+    live = list(range(len(states)))
     for k in range(1, n_steps + 1):
         current = advance(current)
-        t_now = t0 + k * dt
-        if not np.isfinite(current).all():
-            raise SolverAbort(
-                f"non-finite state at t = {t_now:g} (step {k})", partial()
-            )
-        mass_now = float(np.vdot(current, current).real)
-        if abs(mass_now - mass_prev) > MASS_DRIFT_LIMIT * mass_prev + mass_floor:
-            raise SolverAbort(
-                f"mass drifted {abs(mass_now - mass_prev):g} in one step at "
-                f"t = {t_now:g} (step {k}); likely unstable dt",
-                partial(),
-            )
+        mass_now = _row_mass(current)
+        for row in live:
+            drift = abs(mass_now[row] - mass_prev[row])
+            # a non-finite row has a nan or inf mass and fails this test too
+            if drift <= MASS_DRIFT_LIMIT * mass_prev[row] + mass_floor[row]:
+                continue
+            t_now = starts[row] + k * dt
+            if not np.isfinite(current[row]).all():
+                message = f"non-finite state at t = {t_now:g} (step {k})"
+            else:
+                message = (
+                    f"mass drifted {drift:g} in one step at "
+                    f"t = {t_now:g} (step {k}); likely unstable dt"
+                )
+            results[row] = SolverAbort(message, partial(row))
+            current[row] = 0.0
+        if len(live) != results.count(None):
+            live = [row for row in live if results[row] is None]
+            if not live:
+                break
         mass_prev = mass_now
         if k % save_every == 0:
-            saved.append(FourierState(current, state.mode_cap, t_now))
-    return partial()
+            for row in live:
+                saved[row].append(FourierState(current[row], cap, starts[row] + k * dt))
+    for row in live:
+        results[row] = partial(row)
+    return results
 
 
 def residual_check(
@@ -466,7 +569,7 @@ def residual_check(
         raise ValueError("residual_check needs a trajectory with an equation")
     if len(trajectory) < 3:
         raise ValueError("residual_check needs at least 3 samples")
-    rhs = _rhs_builder(trajectory.mode_cap, trajectory.equation)
+    rhs = _rhs_builder(trajectory.mode_cap, (trajectory.equation,))
     nvec = trajectory.states[0].modes.astype(np.float64)
     dissipation = (1j * nvec) ** 3
     out = []
@@ -474,7 +577,7 @@ def residual_check(
     for k in range(1, len(states) - 1):
         mid = states[k]
         diff = (states[k + 1].coeffs - states[k - 1].coeffs) / (2.0 * trajectory.dt)
-        resid = diff + dissipation * mid.coeffs - rhs(mid.coeffs)
+        resid = diff + dissipation * mid.coeffs - rhs(mid.coeffs[None])[0]
         out.append((mid.time, fl_norm(mid.with_(coeffs=resid), spec)))
     return tuple(out)
 

@@ -22,7 +22,9 @@ from .dynamics import (
     EquationSpec,
     j1_multiplier_sum,
     phase_schedule,
+    raise_first_abort,
     solve,
+    solve_many,
     stability_dt_limit,
 )
 from .errors import ConfigError, SolverAbort
@@ -387,18 +389,22 @@ def exp_conservation(overrides=None) -> ExperimentReport:
             members.append((variant, opt.ic))
 
     fl_spec = NormSpec(0.5, 2)
+    trajectories = raise_first_abort(solve_many(
+        [preset_state(opt.modes, preset) for _, preset in members],
+        [EquationSpec(variant, opt.sign) for variant, _ in members],
+        opt.dt, opt.T, opt.save_every,
+    ))
 
-    def run(variant, preset):
-        trajectory = solve(
-            preset_state(opt.modes, preset), EquationSpec(variant, opt.sign), opt.dt,
-            opt.T, opt.save_every,
-        )
+    def summarize(variant, trajectory):
         masses = np.array([mass(st) for st in trajectory.states])
         momenta = np.array([momentum(st) for st in trajectory.states])
         fls = np.array([fl_norm(st, fl_spec) for st in trajectory.states])
         return variant, trajectory.times, masses, momenta, fls
 
-    results = [run(variant, preset) for variant, preset in members]
+    results = [
+        summarize(variant, trajectory)
+        for (variant, _), trajectory in zip(members, trajectories)
+    ]
 
     series: dict[str, Series] = {}
     scalars: dict[str, float] = {}
@@ -468,12 +474,11 @@ def exp_gauge_equivalence(overrides=None) -> ExperimentReport:
     spec = NormSpec(opt.norm_s, opt.norm_p)
     initial = preset_state(opt.modes, opt.ic)
 
-    def run(variant):
-        return solve(
-            initial, EquationSpec(variant, opt.sign), opt.dt, opt.T, opt.save_every
-        )
-
-    traj_plain, traj_first, traj_second = [run(variant) for variant in VARIANTS]
+    traj_plain, traj_first, traj_second = raise_first_abort(solve_many(
+        [initial] * len(VARIANTS),
+        [EquationSpec(variant, opt.sign) for variant in VARIANTS],
+        opt.dt, opt.T, opt.save_every,
+    ))
     gauged_once = apply_gauge1(traj_plain)
     gauged_twice = apply_gauge2(gauged_once)
     gauged_second = apply_gauge2(traj_first)
@@ -1109,20 +1114,25 @@ def exp_apriori_probe(overrides=None) -> ExperimentReport:
     base = preset_state(opt.modes, opt.ic)
     equation = EquationSpec(opt.variant, opt.sign)
 
-    def run(amp):
-        initial = base.with_(coeffs=base.coeffs * amp)
+    initials = [base.with_(coeffs=base.coeffs * amp) for amp in opt.amplitudes]
+    outcomes = solve_many(
+        initials, [equation] * len(initials), opt.dt, opt.T, opt.save_every
+    )
+
+    def summarize(amp, initial, outcome):
+        if isinstance(outcome, SolverAbort):
+            return amp, None, str(outcome), None
         norm0 = fl_norm(initial, spec)
         bound = (1.0 + norm0) ** (p / 2.0 - 1.0) * norm0
-        try:
-            trajectory = solve(initial, equation, opt.dt, opt.T, opt.save_every)
-        except SolverAbort as abort:
-            return amp, None, str(abort), None
-        norms = [fl_norm(st, spec) for st in trajectory.states]
+        norms = [fl_norm(st, spec) for st in outcome.states]
         return amp, float(np.max(norms)) / bound, None, tuple(
-            zip(trajectory.times, norms)
+            zip(outcome.times, norms)
         )
 
-    results = [run(amp) for amp in opt.amplitudes]
+    results = [
+        summarize(amp, initial, outcome)
+        for amp, initial, outcome in zip(opt.amplitudes, initials, outcomes)
+    ]
     failures = [(amp, message) for amp, ratio, message, _ in results if ratio is None]
     ratios = [(amp, ratio) for amp, ratio, _, rows in results if ratio is not None]
 

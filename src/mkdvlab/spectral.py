@@ -122,19 +122,25 @@ def conjugate_state(state: FourierState) -> FourierState:
     return state.with_(coeffs=np.conj(state.coeffs[::-1]))
 
 
-# Embedding indices (n mod K for n = -M..M) are reused heavily by the
-# transforms; cache them per (M, K).
-_EMBED_CACHE: dict[tuple[int, int], np.ndarray] = {}
+def _spread_modes(coeffs: np.ndarray, mode_cap: int, out: np.ndarray) -> np.ndarray:
+    """Write modes n = -M..M (last axis of ``coeffs``) to index n mod K of
+    the length-K last axis of ``out``: modes 0..M go to 0..M and modes
+    -M..-1 to K-M..K-1.  The entries in between are left as they are.
+    """
+    num_points = out.shape[-1]
+    out[..., : mode_cap + 1] = coeffs[..., mode_cap:]
+    out[..., num_points - mode_cap :] = coeffs[..., :mode_cap]
+    return out
 
 
-def _embed_indices(mode_cap: int, num_points: int) -> np.ndarray:
-    key = (mode_cap, num_points)
-    idx = _EMBED_CACHE.get(key)
-    if idx is None:
-        idx = np.arange(-mode_cap, mode_cap + 1) % num_points
-        idx.setflags(write=False)
-        _EMBED_CACHE[key] = idx
-    return idx
+def _gather_modes(values: np.ndarray, mode_cap: int) -> np.ndarray:
+    """Entries n mod K of the last axis for n = -M..M, in mode order; the
+    inverse of ``_spread_modes``."""
+    num_points = values.shape[-1]
+    out = np.empty(values.shape[:-1] + (2 * mode_cap + 1,), dtype=values.dtype)
+    out[..., :mode_cap] = values[..., num_points - mode_cap :]
+    out[..., mode_cap:] = values[..., : mode_cap + 1]
+    return out
 
 
 def _require_resolving(num_points: int, mode_cap: int, what: str) -> None:
@@ -147,16 +153,21 @@ def _require_resolving(num_points: int, mode_cap: int, what: str) -> None:
 
 
 def synthesis(coeffs: np.ndarray, mode_cap: int, num_points: int) -> np.ndarray:
-    """Raw coefficient array -> samples on ``num_points`` grid points."""
-    spread = np.zeros(num_points, dtype=np.complex128)
-    spread[_embed_indices(mode_cap, num_points)] = coeffs
+    """Raw coefficient array(s) -> samples on ``num_points`` grid points.
+
+    Works along the last axis, so a (B, 2M+1) stack gives (B, K) samples.
+    """
+    _require_resolving(num_points, mode_cap, "synthesis")
+    coeffs = np.asarray(coeffs)
+    spread = np.zeros(coeffs.shape[:-1] + (num_points,), dtype=np.complex128)
+    _spread_modes(coeffs, mode_cap, spread)
     return sfft.ifft(spread, overwrite_x=True) * num_points
 
 
 def analysis(samples: np.ndarray, mode_cap: int) -> np.ndarray:
-    """Samples -> coefficient array for |n| <= mode_cap."""
-    transformed = sfft.fft(samples)
-    return transformed[_embed_indices(mode_cap, samples.size)] / samples.size
+    """Samples -> coefficient array for |n| <= mode_cap, along the last axis."""
+    _require_resolving(samples.shape[-1], mode_cap, "analysis")
+    return _gather_modes(sfft.fft(samples), mode_cap) / samples.shape[-1]
 
 
 def to_physical(state: FourierState, num_points: int) -> GridFunction:
@@ -226,8 +237,7 @@ def dealiased_triple_product(
     if not (a.mode_cap == b.mode_cap == c.mode_cap):
         raise ValueError("triple product requires matching mode caps")
     cap = a.mode_cap
-    num_points = padded_grid_size(cap)
-    pa = synthesis(a.coeffs, cap, num_points)
-    pb = synthesis(b.coeffs, cap, num_points)
-    pc = synthesis(c.coeffs, cap, num_points)
+    pa, pb, pc = synthesis(
+        np.stack((a.coeffs, b.coeffs, c.coeffs)), cap, padded_grid_size(cap)
+    )
     return FourierState(analysis(pa * pb * pc, cap), cap, a.time)

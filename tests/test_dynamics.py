@@ -19,6 +19,7 @@ from mkdvlab.dynamics import (
     phi_resonance,
     residual_check,
     solve,
+    solve_many,
     stability_dt_limit,
     step,
     to_interaction_frame,
@@ -233,6 +234,104 @@ def test_mass_momentum_semidiscrete_conservation():
         for st in traj.states:
             assert abs(mass(st) - m0) < 1e-10
             assert abs(momentum(st) - p0) < 1e-10
+
+
+# ------------------------------------------------------------ batch solve
+
+def assert_same_trajectory(got, want):
+    """Bitwise equal states and times, equal step, equation and metadata."""
+    assert len(got) == len(want)
+    for a, b in zip(got.states, want.states):
+        assert a.coeffs.tobytes() == b.coeffs.tobytes()
+        assert a.time == b.time
+    assert (got.dt, got.equation) == (want.dt, want.equation)
+    assert repr(got.metadata) == repr(want.metadata)  # nan-safe
+
+
+def solo(state, equation, dt, horizon, save_every):
+    """solve's outcome for one member: its trajectory or its SolverAbort."""
+    try:
+        return solve(state, equation, dt, horizon, save_every)
+    except SolverAbort as abort:
+        return abort
+
+
+def assert_same_outcome(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, SolverAbort):
+        assert str(got) == str(want)
+        assert_same_trajectory(got.partial, want.partial)
+    else:
+        assert_same_trajectory(got, want)
+
+
+def test_batch_members_match_solo_bitwise():
+    # all three variants, both signs and four amplitudes in one stack
+    base = preset_state(16, "random_smooth:1.2,7")
+    members = [
+        (base.with_(coeffs=base.coeffs * amp, time=0.25), EquationSpec(variant, sign))
+        for amp, (variant, sign) in zip(
+            (1.0, 0.5, 2.0, 1.5, 0.75, 1.25),
+            [(v, s) for s in (1, -1) for v in ("mkdv", "mkdv1", "mkdv2")],
+        )
+    ]
+    states, equations = zip(*members)
+    batch = solve_many(states, equations, 1e-3, 0.05, 10)
+    assert len(batch) == len(members)
+    for got, (state, equation) in zip(batch, members):
+        assert_same_trajectory(got, solve(state, equation, 1e-3, 0.05, 10))
+
+
+def test_batch_abort_leaves_neighbours_unchanged():
+    # at the shared dt, amplitude 35.6 blows up in step 3 and the NaN state
+    # is non-finite at step 1; their neighbours run to the end
+    base = preset_state(16, "random_smooth:1.2,7")
+    nan_state = base.with_(coeffs=np.full_like(base.coeffs, np.nan))
+    states = [base, base.with_(coeffs=base.coeffs * 35.6), nan_state,
+              base.with_(coeffs=base.coeffs * 0.5)]
+    equations = [EquationSpec("mkdv2", 1), EquationSpec("mkdv", 1),
+                 EquationSpec("mkdv1", -1), EquationSpec("mkdv", -1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        batch = solve_many(states, equations, 1e-3, 0.01, 1)
+        alone = [solo(*member, 1e-3, 0.01, 1) for member in zip(states, equations)]
+    assert [type(r) for r in batch] == [Trajectory, SolverAbort, SolverAbort, Trajectory]
+    assert "mass drifted" in str(batch[1]) and "(step 3)" in str(batch[1])
+    assert len(batch[1].partial) == 3
+    assert str(batch[2]).startswith("non-finite state at t = 0.001 (step 1)")
+    for got, want in zip(batch, alone):
+        assert_same_outcome(got, want)
+
+
+def test_batch_warns_in_member_order():
+    calm = preset_state(8, "plane_wave:2,0.1,0")
+    loud = [preset_state(8, f"plane_wave:2,{amp},0") for amp in (3, 4)]
+    dt = 2 * stability_dt_limit(loud[0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", StabilityWarning)
+        batch = solve_many(
+            [loud[1], calm, loud[0]], [EquationSpec("mkdv", 1)] * 3, dt, 4 * dt
+        )
+    messages = [str(w.message) for w in caught if w.category is StabilityWarning]
+    expected = [stability_dt_limit(st) for st in (loud[1], loud[0])]
+    assert messages == [
+        f"dt = {dt:g} exceeds the stability heuristic 0.5/(M max|u|^2 + 1) = {limit:g}"
+        for limit in expected
+    ]
+    assert batch[1].metadata["warnings"] == ()
+
+
+def test_solve_many_validation():
+    state = preset_state(4, "plane_wave:1,0.5,0")
+    eq = EquationSpec("mkdv", 1)
+    with pytest.raises(ValueError):
+        solve_many([], [], 1e-3, 0.01)
+    with pytest.raises(ValueError):
+        solve_many([state, state], [eq], 1e-3, 0.01)
+    with pytest.raises(ValueError):
+        solve_many([state, preset_state(5, "plane_wave:1,0.5,0")], [eq, eq], 1e-3, 0.01)
+    with pytest.raises(ValueError):
+        solve_many([state], [eq], 3e-3, 0.01)
 
 
 # ------------------------------------------------- propagator and residual

@@ -1,9 +1,12 @@
 """Experiment harness: config plumbing, verdicts, determinism, cheap smoke runs."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from mkdvlab.errors import ConfigError
+from mkdvlab.dynamics import EquationSpec, solve
+from mkdvlab.errors import ConfigError, SolverAbort, StabilityWarning
 from mkdvlab.experiments import (
     EXPERIMENTS,
     ExperimentReport,
@@ -212,6 +215,42 @@ def test_apriori_smoke():
     )
     assert len([k for k in close.series if k.startswith("norm_t_a")]) == 2
     assert len([k for k in close.scalars if k.startswith("ratio_a")]) == 2
+
+
+def test_conservation_raises_the_first_aborting_members_abort():
+    # at this dt mkdv1 blows up in step 99, mkdv2 in step 57 and mkdv in
+    # step 1; the serial loop raised the first member's abort, and so does
+    # the batch, although a later member aborts sooner
+    ic = "gaussian_bump:2,2.5,1"
+    settings = {"variants": "mkdv1,mkdv2,mkdv", "ic": ic, "seeds": "",
+                "modes": "8", "dt": "0.01", "T": "1.0", "save_every": "10"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        with pytest.raises(SolverAbort) as alone:
+            solve(preset_state(8, ic), EquationSpec("mkdv1", 1), 0.01, 1.0, 10)
+        with pytest.raises(SolverAbort) as info:
+            run_experiment("conservation", settings)
+    assert "(step 99)" in str(alone.value)
+    assert str(info.value) == str(alone.value)
+    assert info.value.partial.equation == EquationSpec("mkdv1", 1)
+    assert len(info.value.partial) == len(alone.value.partial) == 10
+
+
+def test_apriori_records_an_aborted_amplitude():
+    # amplitude 60 blows up in the first step; the amplitudes stepped beside
+    # it in one batch keep the values they get without it
+    settings = {"modes": "16", "dt": "1e-3", "T": "0.05", "save_every": "10"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        report = run_experiment("apriori_probe", {**settings, "amplitudes": "0.5,1.0,60"})
+    alone = run_experiment("apriori_probe", {**settings, "amplitudes": "0.5,1.0"})
+    completed, stable = report.verdicts
+    assert not completed.passed and completed.observed == "1 aborted"
+    assert completed.note.startswith("amp 60: mass drifted ")
+    assert completed.note.endswith("(step 1); likely unstable dt")
+    assert not stable.passed
+    assert report.scalars == alone.scalars
+    assert report.series == alone.series
 
 
 def test_apriori_validates_exponents():

@@ -1,6 +1,7 @@
 """Invariants checked over generated inputs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from mkdvlab.dynamics import (
     nonlinearity,
     phase_schedule,
     phi_resonance,
+    solve,
+    solve_many,
 )
+from mkdvlab.errors import SolverAbort
 from mkdvlab.io import state_from_csv_text, state_to_csv_text
 from mkdvlab.norms import NormSpec, fl_norm, mass, momentum
 from mkdvlab.spectral import (
@@ -149,3 +153,43 @@ def test_j1_even_in_n_and_nondecreasing_in_radius(n, s, p, r1, r2):
     value = j1_multiplier_sum(n, s, p, small)
     assert j1_multiplier_sum(-n, s, p, small) == pytest.approx(value, rel=1e-12)
     assert j1_multiplier_sum(n, s, p, large) >= value * (1.0 - 1e-12)
+
+
+@st.composite
+def batches(draw):
+    """1..4 members on one mode cap, each with its own variant and sign."""
+    cap = draw(st.integers(min_value=0, max_value=6))
+    rows = draw(st.integers(min_value=1, max_value=4))
+    members = []
+    for _ in range(rows):
+        parts = draw(st.lists(
+            st.floats(-2.0, 2.0, allow_nan=False, width=32),
+            min_size=2 * (2 * cap + 1), max_size=2 * (2 * cap + 1),
+        ))
+        coeffs = np.array(parts[: 2 * cap + 1]) + 1j * np.array(parts[2 * cap + 1 :])
+        equation = EquationSpec(
+            draw(st.sampled_from(["mkdv", "mkdv1", "mkdv2"])), draw(st.sampled_from([1, -1]))
+        )
+        members.append((FourierState(coeffs, cap), equation))
+    return members
+
+
+@given(batches(), st.sampled_from([1e-3, 1e-2]))
+@settings(max_examples=40, deadline=None)
+def test_batch_rows_match_solo_solves_bitwise(members, dt):
+    # the rows of one stack never mix: each member's outcome, trajectory or
+    # abort, is bitwise the one solve gives it alone
+    states, equations = zip(*members)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        batch = solve_many(states, equations, dt, 4 * dt, 2)
+        for got, state, equation in zip(batch, states, equations):
+            try:
+                want = solve(state, equation, dt, 4 * dt, 2)
+            except SolverAbort as abort:
+                assert isinstance(got, SolverAbort) and str(got) == str(abort)
+                want = abort.partial
+                got = got.partial
+            assert len(got) == len(want)
+            for a, b in zip(got.states, want.states):
+                assert a.coeffs.tobytes() == b.coeffs.tobytes()

@@ -7,6 +7,7 @@ from conftest import oracle_analysis, oracle_cubic, oracle_synthesis, random_sta
 from mkdvlab.errors import AliasingError
 from mkdvlab.spectral import (
     FourierState,
+    analysis,
     conjugate_state,
     dealiased_triple_product,
     derivative,
@@ -15,6 +16,7 @@ from mkdvlab.spectral import (
     project_high,
     project_low,
     state_from_modes,
+    synthesis,
     to_fourier,
     to_physical,
     zero_state,
@@ -64,6 +66,25 @@ def test_transform_requires_resolving_grid():
     grid = to_physical(state, 17)
     with pytest.raises(AliasingError):
         to_fourier(grid, 9)
+
+
+def test_raw_transforms_require_resolving_grid():
+    # modes -M..M land on n mod K, which only separates them when K >= 2M+1
+    state = random_state(8, seed=0)
+    with pytest.raises(AliasingError):
+        synthesis(state.coeffs, 8, 16)
+    with pytest.raises(AliasingError):
+        analysis(np.zeros(16, dtype=np.complex128), 8)
+
+
+def test_synthesis_of_a_stack_is_rowwise():
+    rows = [random_state(5, seed=k).coeffs for k in range(3)]
+    stacked = synthesis(np.stack(rows), 5, 11)
+    for row, samples in zip(rows, stacked):
+        assert samples.tobytes() == synthesis(row, 5, 11).tobytes()
+    back = analysis(stacked, 5)
+    for row, coeffs in zip(stacked, back):
+        assert coeffs.tobytes() == analysis(row, 5).tobytes()
 
 
 def test_conjugate_state_is_physical_conjugate():
