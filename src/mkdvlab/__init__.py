@@ -1,10 +1,10 @@
 """Pseudo-spectral laboratory for the complex modified KdV family on the torus.
 
 Simulates the three renormalization stages of the equation, converts between
-them through explicit gauge transformations, measures Fourier-Lebesgue and
-windowed space-time norms, decomposes the nonlinearity into resonant and
-nonresonant parts, and drives scripted experiments around conservation,
-ill-posedness, and momentum divergence.
+them through explicit gauge transformations, measures Fourier-Lebesgue
+norms, decomposes the nonlinearity into resonant and nonresonant parts, and
+drives scripted experiments around conservation, ill-posedness, and momentum
+divergence.
 """
 
 from ._version import __version__
@@ -15,8 +15,6 @@ from .dynamics import (
     Trajectory,
     decompose_nonlinearity,
     j1_multiplier_sum,
-    lambda_membership,
-    linear_propagator,
     nonlinearity,
     phase_schedule,
     phi_resonance,
@@ -25,7 +23,6 @@ from .dynamics import (
     solve_many,
     stability_dt_limit,
     step,
-    to_interaction_frame,
 )
 from .errors import (
     AliasingError,
@@ -53,8 +50,6 @@ from .norms import (
     momentum,
     momentum_limit_diagnostic,
     raised_cosine,
-    truncated_momentum,
-    xsb_norm,
 )
 from .presets import PRESET_NAMES, parse_preset, preset_state
 from .spectral import (
@@ -65,12 +60,10 @@ from .spectral import (
     dealiased_triple_product,
     derivative,
     padded_grid_size,
-    project_band,
     project_high,
     project_low,
     state_from_modes,
     synthesis,
-    to_fourier,
     to_physical,
     zero_state,
 )
@@ -83,8 +76,6 @@ __all__ = [
     "Trajectory",
     "decompose_nonlinearity",
     "j1_multiplier_sum",
-    "lambda_membership",
-    "linear_propagator",
     "nonlinearity",
     "phase_schedule",
     "phi_resonance",
@@ -93,7 +84,6 @@ __all__ = [
     "solve_many",
     "stability_dt_limit",
     "step",
-    "to_interaction_frame",
     "AliasingError",
     "ConfigError",
     "GaugeMismatchError",
@@ -119,8 +109,6 @@ __all__ = [
     "momentum",
     "momentum_limit_diagnostic",
     "raised_cosine",
-    "truncated_momentum",
-    "xsb_norm",
     "PRESET_NAMES",
     "parse_preset",
     "preset_state",
@@ -131,12 +119,10 @@ __all__ = [
     "dealiased_triple_product",
     "derivative",
     "padded_grid_size",
-    "project_band",
     "project_high",
     "project_low",
     "state_from_modes",
     "synthesis",
-    "to_fourier",
     "to_physical",
     "zero_state",
 ]

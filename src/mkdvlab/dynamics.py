@@ -40,6 +40,9 @@ RESONANCE_DOMAIN = 1 << 20
 #: Mode-cap ceiling for the brute-force decomposition.
 DECOMPOSITION_CAP = 64
 
+#: Largest summation radius j1_multiplier_sum accepts.
+J1_MAX_RADIUS = 1 << 16
+
 #: Largest relative rounding estimate j1_multiplier_sum accepts from its FFT.
 J1_FFT_TOLERANCE = 1e-12
 
@@ -129,14 +132,6 @@ def phi_resonance(n1: int, n2: int, n3: int) -> int:
     _check_resonance_domain(n1, n2, n3)
     n1, n2, n3 = int(n1), int(n2), int(n3)
     return 3 * (n1 + n2) * (n1 + n3) * (n2 + n3)
-
-
-def lambda_membership(n: int, n1: int, n2: int, n3: int) -> bool:
-    """True when (n1,n2,n3) lies in the nonresonant set Lambda(n)."""
-    n, n1, n2, n3 = int(n), int(n1), int(n2), int(n3)
-    if n1 + n2 + n3 != n:
-        return False
-    return (n1 + n2) != 0 and (n1 + n3) != 0 and (n2 + n3) != 0
 
 
 #: Whether each variant subtracts the mean transport mu (in) u_hat and the
@@ -293,7 +288,7 @@ def j1_multiplier_sum(n: int, s: float, p: float, radius: int) -> float:
     row blocks.
     """
     _check_resonance_domain(n)
-    if radius < 0 or radius > (1 << 16):
+    if radius < 0 or radius > J1_MAX_RADIUS:
         raise ValueError("radius must lie in 0..2^16")
     if radius == 0:
         return 0.0
@@ -345,23 +340,6 @@ def j1_multiplier_sum(n: int, s: float, p: float, radius: int) -> float:
     if not estimate <= J1_FFT_TOLERANCE * total:
         total = float(c @ np.convolve(a, a))
     return total
-
-
-def linear_propagator(state: FourierState, elapsed: float) -> FourierState:
-    """Airy group S(t): u_hat(n) -> e^{i n^3 t} u_hat(n); exact isometry."""
-    phases = np.exp(1j * state.modes.astype(np.float64) ** 3 * float(elapsed))
-    return state.with_(coeffs=phases * state.coeffs, time=state.time + float(elapsed))
-
-
-def to_interaction_frame(trajectory: Trajectory) -> Trajectory:
-    """Undo the free flow slice-wise: v(t) = S(-t) u(t)."""
-    slices = []
-    for st in trajectory.states:
-        phases = np.exp(-1j * st.modes.astype(np.float64) ** 3 * st.time)
-        slices.append(st.with_(coeffs=phases * st.coeffs))
-    meta = dict(trajectory.metadata)
-    meta["frame"] = "interaction"
-    return Trajectory(tuple(slices), trajectory.dt, None, meta)
 
 
 def stability_dt_limit(state: FourierState) -> float:

@@ -18,6 +18,8 @@ import numpy as np
 
 from ._version import __version__
 from .dynamics import (
+    J1_MAX_RADIUS,
+    RESONANCE_DOMAIN,
     VARIANTS,
     EquationSpec,
     j1_multiplier_sum,
@@ -295,11 +297,12 @@ pair_list = some_of(sp_pair)
 # shared numerics
 
 
-def _sup_fl_gap(states_a, states_b, spec: NormSpec) -> float:
-    gap = 0.0
-    for a, b in zip(states_a, states_b, strict=True):
-        gap = max(gap, fl_norm(a.with_(coeffs=a.coeffs - b.coeffs), spec))
-    return gap
+def _fl_gaps(left, right, spec: NormSpec) -> list[float]:
+    """fl_norm(a - b) for each pair of states, slice by slice."""
+    return [
+        fl_norm(a.with_(coeffs=a.coeffs - b.coeffs), spec)
+        for a, b in zip(left, right, strict=True)
+    ]
 
 
 def _unwind_momentum_phase(states, sign: int, rate: float):
@@ -484,17 +487,11 @@ def exp_gauge_equivalence(overrides=None) -> ExperimentReport:
     gauged_second = apply_gauge2(traj_first)
 
     times = traj_plain.times
-    gaps = {}
-    for key, left, right in (
-        ("gauge1_gap", gauged_once.states, traj_first.states),
-        ("gauge2_gap", gauged_second.states, traj_second.states),
-        ("composed_gap", gauged_twice.states, traj_second.states),
-    ):
-        per_time = [
-            fl_norm(a.with_(coeffs=a.coeffs - b.coeffs), spec)
-            for a, b in zip(left, right, strict=True)
-        ]
-        gaps[key] = per_time
+    gaps = {
+        "gauge1_gap": _fl_gaps(gauged_once.states, traj_first.states, spec),
+        "gauge2_gap": _fl_gaps(gauged_second.states, traj_second.states, spec),
+        "composed_gap": _fl_gaps(gauged_twice.states, traj_second.states, spec),
+    }
 
     series = {
         key: Series("t", "fl_gap", tuple(zip(times, values)))
@@ -578,6 +575,12 @@ def exp_nonexistence(overrides=None) -> ExperimentReport:
         )
     if len(opt.mom_schedule) < 4:
         raise ConfigError("'mom_schedule' needs at least four cutoffs")
+    # past a cap the coefficient is 0, so the pairing would carry no signal
+    if abs(opt.pairing_mode) > min(opt.modes, opt.control_modes):
+        raise ConfigError(
+            f"'pairing_mode' {opt.pairing_mode} lies beyond the mode caps "
+            f"(modes {opt.modes}, control_modes {opt.control_modes})"
+        )
 
     # Both data-class conditions are p-series facts; certify them numerically
     # from dyadic block ratios rather than trusting the exponent algebra.
@@ -619,12 +622,9 @@ def exp_nonexistence(overrides=None) -> ExperimentReport:
     u_gaps = []
     last_pair_gap_rows = None
     for (traj_a, u_a, _, _), (traj_b, u_b, _, _) in zip(main_runs, main_runs[1:]):
-        v_gaps.append(_sup_fl_gap(traj_a.states, traj_b.states, cauchy_spec))
-        per_time = [
-            fl_norm(a.with_(coeffs=a.coeffs - b.coeffs), u_spec)
-            for a, b in zip(u_a, u_b, strict=True)
-        ]
-        u_gaps.append(float(np.max(per_time)))
+        v_gaps.append(max(_fl_gaps(traj_a.states, traj_b.states, cauchy_spec)))
+        per_time = _fl_gaps(u_a, u_b, u_spec)
+        u_gaps.append(max(per_time))
         last_pair_gap_rows = tuple(zip(traj_a.times, per_time))
     vnorm_ref = max(
         max(fl_norm(st, u_spec) for st in traj.states) for traj, _, _, _ in main_runs
@@ -649,7 +649,7 @@ def exp_nonexistence(overrides=None) -> ExperimentReport:
     control_runs = [run(opt.control_modes, N, True) for N in control_schedule]
     control_mom_max = max(abs(rate) for _, _, rate, _ in control_runs)
     control_gauge_gap = max(
-        _sup_fl_gap(traj.states, u_states, u_spec)
+        max(_fl_gaps(traj.states, u_states, u_spec))
         for traj, u_states, _, _ in control_runs
     )
     control_pairings = [pairing for _, _, _, pairing in control_runs]
@@ -788,9 +788,7 @@ def exp_illposedness(overrides=None) -> ExperimentReport:
 
         data_a = state_from_modes(N, {N: amp_a * scale})
         data_b = state_from_modes(N, {N: amp_b * scale})
-        initial_gap = fl_norm(
-            data_a.with_(coeffs=data_a.coeffs - data_b.coeffs), spec
-        )
+        (initial_gap,) = _fl_gaps([data_a], [data_b], spec)
         analytic_gap = fl_norm(
             state_from_modes(
                 N, {N: exact_coeff(amp_a, t_n) - exact_coeff(amp_b, t_n)}
@@ -814,9 +812,7 @@ def exp_illposedness(overrides=None) -> ExperimentReport:
                 )
                 largest = max(largest, gap)
             finals.append(trajectory.final)
-        solver_gap = fl_norm(
-            finals[0].with_(coeffs=finals[0].coeffs - finals[1].coeffs), spec
-        )
+        (solver_gap,) = _fl_gaps([finals[0]], [finals[1]], spec)
         largest = max(largest, abs(solver_gap - analytic_gap))
         return N, t_n, initial_gap, analytic_gap, solver_gap, largest
 
@@ -1191,6 +1187,10 @@ def exp_multiplier_probe(overrides=None) -> ExperimentReport:
         raise ConfigError("'radii' needs at least three entries")
     if any(b != 2 * a for a, b in zip(radii, radii[1:])) or radii[0] < 1:
         raise ConfigError("'radii' must double at each step from a positive start")
+    if radii[-1] > J1_MAX_RADIUS:
+        raise ConfigError(f"'radii' must not exceed {J1_MAX_RADIUS}, got {radii[-1]}")
+    if any(abs(n) > RESONANCE_DOMAIN for n in n_list):
+        raise ConfigError(f"'n_list' entries must satisfy |n| <= {RESONANCE_DOMAIN}")
 
     values = {
         (s, p, n): tuple(j1_multiplier_sum(n, s, p, K) for K in radii)

@@ -7,7 +7,6 @@ import math
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy import fft as sfft
 
 from .spectral import TWO_PI, FourierState
 
@@ -21,33 +20,19 @@ def japanese_bracket(n) -> np.ndarray:
     return np.sqrt(1.0 + arr * arr)
 
 
-def _check_exponent(value: float, name: str) -> float:
-    value = float(value)
-    if not (value >= 1.0):  # rejects NaN too
-        raise ValueError(f"{name} must satisfy {name} >= 1, got {value}")
-    return value
-
-
 @dataclasses.dataclass(frozen=True)
 class NormSpec:
-    """Weighted-norm parameters: s (regularity), p (mode exponent).
-
-    ``b`` and ``q`` only matter for space-time norms; both default to None
-    and ``q`` falls back to 2 when a space-time norm is evaluated.
-    """
+    """Weighted-norm parameters: s (regularity), p (mode exponent)."""
 
     s: float
     p: float
-    b: float | None = None
-    q: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "s", float(self.s))
-        object.__setattr__(self, "p", _check_exponent(self.p, "p"))
-        if self.b is not None:
-            object.__setattr__(self, "b", float(self.b))
-        if self.q is not None:
-            object.__setattr__(self, "q", _check_exponent(self.q, "q"))
+        p = float(self.p)
+        if not p >= 1.0:  # rejects NaN too
+            raise ValueError(f"p must satisfy p >= 1, got {p}")
+        object.__setattr__(self, "p", p)
 
 
 def _weighted_lp(values: np.ndarray, p: float) -> float:
@@ -95,16 +80,6 @@ def _coefficients_up_to(source: MomentumSource, radius: int) -> np.ndarray:
         [complex(source(int(n))) for n in range(-radius, radius + 1)],
         dtype=np.complex128,
     )
-
-
-def truncated_momentum(source: MomentumSource, cutoff: int) -> float:
-    """P_N = sum_{|n| <= N} n |u_hat(n)|^2."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
-    coeffs = _coefficients_up_to(source, cutoff)
-    mags = np.abs(coeffs)
-    ns = np.arange(-cutoff, cutoff + 1)
-    return float(np.sum(ns * mags * mags))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,44 +142,3 @@ def raised_cosine(t, span: float):
     if np.isscalar(t):
         return float(values)
     return values
-
-
-def xsb_norm(trajectory, spec: NormSpec) -> float:
-    """Windowed space-time norm || <n>^s <tau - n^3>^b F u ||_{l^p_n L^q_tau}.
-
-    Proxy, not the restriction norm: the trajectory is multiplied by a
-    raised-cosine window over its span and transformed on the finite,
-    uniform time grid, which upper-bound-flavors the infimum over
-    extensions.  Time frequencies past the grid Nyquist rate pi/dt are not
-    resolved, so modes with |n|^3 beyond it contribute through aliased
-    weights.  Needs >= 8 samples.
-    """
-    if spec.b is None:
-        raise ValueError("xsb_norm needs a NormSpec with b set")
-    q = 2.0 if spec.q is None else spec.q
-    states = trajectory.states
-    num = len(states)
-    if num < 8:
-        raise ValueError(f"xsb_norm needs at least 8 time samples, got {num}")
-    dt = trajectory.dt
-    span = (num - 1) * dt
-
-    # Rows: time samples; columns: modes.
-    stack = np.stack([st.coeffs for st in states])
-    rel_times = np.arange(num) * dt
-    stack = stack * raised_cosine(rel_times, span)[:, None]
-
-    # Continuum-normalized transform samples at tau_m = 2 pi m / (num dt).
-    freq_part = sfft.fft(stack, axis=0) * (dt / TWO_PI)
-    taus = TWO_PI * sfft.fftfreq(num, d=dt)
-    dtau = TWO_PI / (num * dt)
-
-    modes = states[0].modes.astype(np.float64)
-    tau_weight = japanese_bracket(taus[:, None] - modes[None, :] ** 3) ** spec.b
-    weighted = np.abs(freq_part) * tau_weight
-    if math.isinf(q):
-        per_mode = np.max(weighted, axis=0)
-    else:
-        per_mode = np.sum(weighted**q, axis=0) ** (1.0 / q) * dtau ** (1.0 / q)
-    per_mode = per_mode * japanese_bracket(modes) ** spec.s
-    return _weighted_lp(per_mode, spec.p)

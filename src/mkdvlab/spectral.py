@@ -92,14 +92,6 @@ class GridFunction:
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "time", float(self.time))
 
-    @property
-    def num_points(self) -> int:
-        return self.samples.size
-
-    @property
-    def points(self) -> np.ndarray:
-        return TWO_PI * np.arange(self.num_points) / self.num_points
-
 
 def zero_state(mode_cap: int, time: float = 0.0) -> FourierState:
     return FourierState(np.zeros(2 * mode_cap + 1, dtype=np.complex128), mode_cap, time)
@@ -176,12 +168,6 @@ def to_physical(state: FourierState, num_points: int) -> GridFunction:
     return GridFunction(synthesis(state.coeffs, state.mode_cap, num_points), state.time)
 
 
-def to_fourier(grid: GridFunction, mode_cap: int) -> FourierState:
-    """Recover modes |n| <= mode_cap; left inverse of to_physical."""
-    _require_resolving(grid.num_points, mode_cap, "to_fourier")
-    return FourierState(analysis(grid.samples, mode_cap), mode_cap, grid.time)
-
-
 def project_low(state: FourierState, cutoff: int) -> FourierState:
     """Keep modes |n| <= cutoff, zero the rest."""
     if cutoff < 0:
@@ -195,15 +181,6 @@ def project_high(state: FourierState, cutoff: int) -> FourierState:
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     mask = np.abs(state.modes) > cutoff
-    return state.with_(coeffs=np.where(mask, state.coeffs, 0.0))
-
-
-def project_band(state: FourierState, low: int, high: int) -> FourierState:
-    """Keep modes with low <= |n| <= high."""
-    if not 0 <= low <= high:
-        raise ValueError("band bounds must satisfy 0 <= low <= high")
-    absn = np.abs(state.modes)
-    mask = (absn >= low) & (absn <= high)
     return state.with_(coeffs=np.where(mask, state.coeffs, 0.0))
 
 

@@ -12,8 +12,6 @@ from mkdvlab.dynamics import (
     Trajectory,
     decompose_nonlinearity,
     j1_multiplier_sum,
-    lambda_membership,
-    linear_propagator,
     nonlinearity,
     phase_schedule,
     phi_resonance,
@@ -22,10 +20,9 @@ from mkdvlab.dynamics import (
     solve_many,
     stability_dt_limit,
     step,
-    to_interaction_frame,
 )
 from mkdvlab.errors import SolverAbort, StabilityWarning
-from mkdvlab.norms import NormSpec, fl_norm, mass, momentum
+from mkdvlab.norms import mass, momentum
 from mkdvlab.presets import preset_state
 from mkdvlab.spectral import state_from_modes
 
@@ -54,13 +51,6 @@ def test_phi_vanishes_iff_pairwise_sum_does():
         value = phi_resonance(int(n1), int(n2), int(n3))
         pairwise_zero = (n1 + n2 == 0) or (n1 + n3 == 0) or (n2 + n3 == 0)
         assert (value == 0) == pairwise_zero
-
-
-def test_lambda_membership():
-    assert lambda_membership(4, 1, 1, 2)
-    assert not lambda_membership(4, 1, -1, 4)  # n1 + n2 = 0
-    assert not lambda_membership(5, 1, 1, 2)  # frequencies do not sum to n
-    assert not lambda_membership(0, 2, -2, 0)
 
 
 # ----------------------------------------------------------- decomposition
@@ -335,27 +325,6 @@ def test_solve_many_validation():
 
 
 # ------------------------------------------------- propagator and residual
-
-def test_linear_propagator_is_isometry():
-    state = random_state(9, seed=6)
-    moved = linear_propagator(state, 0.37)
-    assert mass(moved) == pytest.approx(mass(state), rel=1e-14)
-    for spec in (NormSpec(0.0, 2.0), NormSpec(0.75, 3.0)):
-        assert fl_norm(moved, spec) == pytest.approx(fl_norm(state, spec), rel=1e-14)
-    back = linear_propagator(moved, -0.37)
-    assert np.max(np.abs(back.coeffs - state.coeffs)) < 1e-14
-
-
-def test_interaction_frame_freezes_free_flow():
-    state = random_state(5, seed=13)
-    states = tuple(
-        linear_propagator(state, t).with_(time=t) for t in (0.0, 0.1, 0.2, 0.3)
-    )
-    frozen = to_interaction_frame(Trajectory(states, 0.1, None, {}))
-    for st in frozen.states:
-        assert np.max(np.abs(st.coeffs - state.coeffs)) < 1e-13
-    assert frozen.metadata["frame"] == "interaction"
-
 
 def test_residual_quadratic_in_dt():
     state = preset_state(8, "plane_wave:4,1.5,0")

@@ -278,6 +278,14 @@ def test_multiplier_probe_validates_radii():
     for pairs in ("nan:2", "0.5:0.5"):  # s must be finite, p >= 1
         with pytest.raises(ConfigError):
             run_experiment("multiplier_probe", {"pairs": pairs})
+    # both limits are checked before any sum runs, naming the key
+    with pytest.raises(ConfigError, match="radii"):
+        run_experiment(
+            "multiplier_probe",
+            {"radii": "16384,32768,65536,131072", "n_list": "0", "pairs": "0.5:2"},
+        )
+    with pytest.raises(ConfigError, match="n_list"):
+        run_experiment("multiplier_probe", {"n_list": "0,1048577"})
 
 
 def test_nonexistence_reduced_smoke():
@@ -313,3 +321,7 @@ def test_nonexistence_schedule_validation():
         run_experiment("nonexistence", {"alpha": "2.0"})  # momentum converges
     with pytest.raises(ConfigError):
         run_experiment("nonexistence", {"dt_cap": "-1"})
+    # a mode past either cap has coefficient 0: a pairing with no signal
+    for mode in ("100000", "-129"):
+        with pytest.raises(ConfigError, match="pairing_mode"):
+            run_experiment("nonexistence", {"pairing_mode": mode})

@@ -1,4 +1,4 @@
-"""Serialization round trips and the command-line surface."""
+"""Serialization round trips, the command-line surface and the package exports."""
 
 import json
 import warnings
@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import mkdvlab
 from conftest import random_state
 from mkdvlab.cli import main
 from mkdvlab.dynamics import EquationSpec, solve
@@ -294,3 +295,10 @@ def test_cli_experiment_report_and_verdict_exit(tmp_path, capsys):
     # the report is still written before the failing exit
     report = json.loads((out_bad / "report.json").read_text())
     assert report["all_passed"] is False
+
+
+def test_package_exports_resolve_once():
+    names = mkdvlab.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(mkdvlab, name), name

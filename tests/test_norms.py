@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from conftest import random_state
-from mkdvlab.dynamics import linear_propagator, solve, EquationSpec
 from mkdvlab.norms import (
     MomentumSeries,
     NormSpec,
@@ -14,8 +12,6 @@ from mkdvlab.norms import (
     momentum,
     momentum_limit_diagnostic,
     raised_cosine,
-    truncated_momentum,
-    xsb_norm,
 )
 from mkdvlab.presets import preset_state
 from mkdvlab.spectral import state_from_modes
@@ -86,15 +82,14 @@ def test_truncated_momentum_state_and_rule_agree():
     def rule(n):
         return float(n) ** -0.9 if n >= 1 else 0.0
 
-    for cutoff in (4, 16, 64):
-        from_state = truncated_momentum(state, cutoff)
-        from_rule = truncated_momentum(rule, cutoff)
-        assert from_state == pytest.approx(from_rule, rel=1e-14)
+    schedule = [4, 16, 64, 128]
+    from_state = momentum_limit_diagnostic(state, schedule).truncations
+    from_rule = momentum_limit_diagnostic(rule, schedule).truncations
+    for (cutoff, p_state), (_, p_rule) in zip(from_state[:3], from_rule[:3]):
+        assert p_state == pytest.approx(p_rule, rel=1e-14), cutoff
     # beyond the cap the state has no modes; the rule keeps summing
-    assert truncated_momentum(state, 128) == pytest.approx(
-        truncated_momentum(state, 64), rel=1e-15
-    )
-    assert truncated_momentum(rule, 128) > truncated_momentum(rule, 64)
+    assert from_state[3][1] == pytest.approx(from_state[2][1], rel=1e-15)
+    assert from_rule[3][1] > from_rule[2][1]
 
 
 # P_N = sum_{n<=N} n^(1-1.8) for the one-sided n^-0.9 data, pinned once.
@@ -105,8 +100,8 @@ def test_truncated_momentum_frozen_table():
     def rule(n):
         return float(n) ** -0.9 if n >= 1 else 0.0
 
-    for cutoff, expected in ONE_SIDED_MOMENTA.items():
-        assert truncated_momentum(rule, cutoff) == pytest.approx(expected, abs=5e-7)
+    series = momentum_limit_diagnostic(rule, list(ONE_SIDED_MOMENTA))
+    assert series.values == pytest.approx(list(ONE_SIDED_MOMENTA.values()), abs=5e-7)
 
 
 def test_momentum_diagnostic_converged():
@@ -160,51 +155,3 @@ def test_raised_cosine_window():
     assert raised_cosine(2.1, 2.0) == 0.0
     values = raised_cosine(np.linspace(0, 2, 9), 2.0)
     assert values.max() <= 1.0 and values.min() >= 0.0
-
-
-def test_xsb_norm_parseval_oracle():
-    # constant mode-0 trajectory: with b=0 the norm is the windowed
-    # time-L2, computable exactly from Parseval on the sample grid
-    amp = 0.7 - 0.2j
-    num, dt = 32, 0.05
-    states = tuple(
-        state_from_modes(0, {0: amp}, time=k * dt) for k in range(num)
-    )
-    from mkdvlab.dynamics import Trajectory
-
-    traj = Trajectory(states, dt, None, {})
-    got = xsb_norm(traj, NormSpec(0.0, 2.0, b=0.0))
-    window = raised_cosine(np.arange(num) * dt, (num - 1) * dt)
-    expected = abs(amp) * np.sqrt(dt * np.sum(window**2) / (2 * np.pi))
-    assert got == pytest.approx(expected, rel=1e-12)
-
-
-def test_xsb_norm_penalizes_modulation():
-    # free flow sits on tau = n^3; a detuned phase pays a <tau - n^3>^b price
-    num, dt, cap = 64, 0.05, 3
-    base = state_from_modes(cap, {3: 1.0})
-    free = tuple(
-        linear_propagator(base, k * dt).with_(time=k * dt) for k in range(num)
-    )
-    detuned = tuple(
-        st.with_(coeffs=st.coeffs * np.exp(1j * 40.0 * st.time)) for st in free
-    )
-    from mkdvlab.dynamics import Trajectory
-
-    spec = NormSpec(0.0, 2.0, b=1.0)
-    norm_free = xsb_norm(Trajectory(free, dt, None, {}), spec)
-    norm_detuned = xsb_norm(Trajectory(detuned, dt, None, {}), spec)
-    assert norm_detuned > 3.0 * norm_free
-
-
-def test_xsb_norm_needs_b_and_samples():
-    traj = solve(
-        preset_state(4, "plane_wave:2,0.5,0"),
-        EquationSpec("mkdv", 1),
-        1e-3,
-        5e-3,
-    )
-    with pytest.raises(ValueError):
-        xsb_norm(traj, NormSpec(0.0, 2.0))  # no b
-    with pytest.raises(ValueError):
-        xsb_norm(traj, NormSpec(0.0, 2.0, b=0.5))  # only 6 samples
