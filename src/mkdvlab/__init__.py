@@ -36,7 +36,6 @@ from .experiments import (
     ExperimentReport,
     Series,
     VerdictRecord,
-    resolve_config,
     run_experiment,
     write_report,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "ExperimentReport",
     "Series",
     "VerdictRecord",
-    "resolve_config",
     "run_experiment",
     "write_report",
     "GaugeSpec",

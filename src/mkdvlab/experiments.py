@@ -1,9 +1,13 @@
 """Scripted experiments that exercise the solver and produce verdict reports.
 
-Every experiment takes a flat, string-valued configuration (schema defaults
-merged with overrides, every key parsed up front), runs deterministically
-given that configuration, and returns an ExperimentReport.  Each verdict names the config key holding its threshold,
-so reports are self-describing; serialization is byte-stable across runs.
+An experiment is a schema (key -> (default text, parser)) and a body,
+registered together in EXPERIMENTS.  ``run_experiment`` merges the overrides
+into the schema defaults and parses every key up front, hands the parsed
+values to the body, and builds the ExperimentReport from what the body
+returns (series, scalars, verdicts), the config echo and the provenance.
+Bodies run deterministically given their configuration.  Each verdict names
+the config key holding its threshold, so reports are self-describing;
+serialization is byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import dataclasses
 import hashlib
 import math
 import pathlib
+from collections.abc import Sequence
 from types import SimpleNamespace
 
 import numpy as np
@@ -131,48 +136,32 @@ def write_report(report: ExperimentReport, directory) -> None:
         path.write_text(series_to_csv_text(s.xlabel, s.ylabel, s.rows))
 
 
-def _provenance(name: str, parameters: dict[str, str]) -> dict[str, str]:
-    digest = hashlib.sha256(
-        canonical_json({"experiment": name, "parameters": parameters}).encode()
-    ).hexdigest()
-    return {
-        "seed": parameters.get("seed", parameters.get("seeds", "-")),
-        "version": __version__,
-        "config_digest": digest,
-    }
+#: What an experiment body returns: series, scalars and verdicts.
+Findings = tuple[dict[str, Series], dict[str, float], Sequence[VerdictRecord]]
 
 
 # ---------------------------------------------------------------------------
 # configuration
 
 
-def resolve_config(defaults: dict[str, str], overrides) -> dict[str, str]:
-    """Defaults merged with overrides; any key outside defaults is rejected."""
-    overrides = dict(overrides or {})
-    unknown = [key for key in overrides if key not in defaults]
-    if unknown:
-        raise ConfigError(
-            "unknown config key(s): "
-            + ", ".join(sorted(unknown))
-            + "; valid keys: "
-            + ", ".join(sorted(defaults))
-        )
-    merged = dict(defaults)
-    for key, value in overrides.items():
-        merged[key] = str(value)
-    return merged
-
-
 def parse_config(schema, overrides) -> tuple[dict[str, str], SimpleNamespace]:
     """Resolve a schema (key -> (default text, parser)) against overrides.
 
-    Returns the string echo that reports and manifests record, and the
-    parsed values as attributes.  Every key is parsed, so a bad value is
-    reported before any work starts.
+    Any override key outside the schema is rejected.  Returns the string
+    echo that reports and manifests record, and the parsed values as
+    attributes.  Every key is parsed, so a bad value is reported before any
+    work starts.
     """
-    config = resolve_config(
-        {key: default for key, (default, _) in schema.items()}, overrides
-    )
+    overrides = dict(overrides or {})
+    unknown = sorted(key for key in overrides if key not in schema)
+    if unknown:
+        raise ConfigError(
+            f"unknown config key(s): {', '.join(unknown)}; "
+            f"valid keys: {', '.join(sorted(schema))}"
+        )
+    config = {
+        key: str(overrides.get(key, default)) for key, (default, _) in schema.items()
+    }
     return config, SimpleNamespace(
         **{key: parse(key, config[key]) for key, (_, parse) in schema.items()}
     )
@@ -288,6 +277,7 @@ def some_of(item):
 
 
 int_list = list_of(integer)
+cutoff_list = increasing(list_of(nonnegative(integer)))
 float_list = list_of(number)
 variant_list = some_of(variant)
 pair_list = some_of(sp_pair)
@@ -338,21 +328,6 @@ def _pseries_block_ratio(exponent: float, blocks: int = 12) -> float:
     return float(np.sum(hi**-exponent) / np.sum(lo**-exponent))
 
 
-def _auto_solve(
-    state: FourierState,
-    equation: EquationSpec,
-    total: float,
-    save_points: int,
-    dt_cap: float = 0.0,
-):
-    """Solve with the largest stable dt that lands saves on total*k/save_points."""
-    cap = stability_dt_limit(state)
-    if dt_cap > 0.0:
-        cap = min(cap, dt_cap)
-    dt, save_every = phase_schedule(total, cap, save_points)
-    return solve(state, equation, dt, total, save_every)
-
-
 # ---------------------------------------------------------------------------
 # conservation
 
@@ -370,7 +345,7 @@ CONSERVATION_SCHEMA = {
 }
 
 
-def exp_conservation(overrides=None) -> ExperimentReport:
+def exp_conservation(opt) -> Findings:
     """Mass and momentum stay put along all three flows.
 
     Both quantities are conserved exactly by the semi-discrete system, so any
@@ -379,7 +354,6 @@ def exp_conservation(overrides=None) -> ExperimentReport:
     each sweep entry in turn.  Time series are reported for the first member
     of each variant, drifts for the worst member.
     """
-    config, opt = parse_config(CONSERVATION_SCHEMA, overrides)
     ic_name, ic_args = parse_preset(opt.ic)
     if opt.seeds and (ic_name != "random_smooth" or len(ic_args) < 1):
         raise ConfigError("a 'seeds' sweep requires a random_smooth:decay,seed ic")
@@ -442,10 +416,7 @@ def exp_conservation(overrides=None) -> ExperimentReport:
                           mom_drift, "drift_tol")
         )
 
-    return ExperimentReport(
-        "conservation", config, series, scalars, tuple(verdicts),
-        _provenance("conservation", config),
-    )
+    return series, scalars, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +436,7 @@ GAUGE_EQUIVALENCE_SCHEMA = {
 }
 
 
-def exp_gauge_equivalence(overrides=None) -> ExperimentReport:
+def exp_gauge_equivalence(opt) -> Findings:
     """The three flows from shared data agree once explicitly gauged.
 
     Solves all three equations from the same initial state, pushes the first
@@ -473,7 +444,6 @@ def exp_gauge_equivalence(overrides=None) -> ExperimentReport:
     first through both, then compares against the directly-computed targets in
     sup-over-time FL norm.
     """
-    config, opt = parse_config(GAUGE_EQUIVALENCE_SCHEMA, overrides)
     spec = NormSpec(opt.norm_s, opt.norm_p)
     initial = preset_state(opt.modes, opt.ic)
 
@@ -503,10 +473,7 @@ def exp_gauge_equivalence(overrides=None) -> ExperimentReport:
                       scalars[f"sup_{key}"], "gap_tol")
         for key in ("gauge1_gap", "gauge2_gap", "composed_gap")
     )
-    return ExperimentReport(
-        "gauge_equivalence", config, series, scalars, verdicts,
-        _provenance("gauge_equivalence", config),
-    )
+    return series, scalars, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +486,7 @@ NONEXISTENCE_SCHEMA = {
     "alpha": ("0.9", positive(number)),
     "sign": ("+1", sign),
     "modes": ("512", positive(integer)),
-    "schedule": ("32,64,128,256", increasing(int_list)),
+    "schedule": ("32,64,128,256", cutoff_list),
     "T": ("0.8", positive(number)),
     "save_points": ("160", positive(integer)),
     "pairing_mode": ("1", integer),
@@ -528,18 +495,18 @@ NONEXISTENCE_SCHEMA = {
     "shrink_factor": ("4", positive(number)),
     "u_floor": ("0.1", positive(number)),
     "pairing_drop": ("0.5", positive(number)),
-    "mom_schedule": ("32,64,128,256,512,1024,2048,4096", increasing(int_list)),
+    "mom_schedule": ("32,64,128,256,512,1024,2048,4096", cutoff_list),
     "mom_tol": ("1e-6", positive(number)),
     "dt_cap": ("0", nonnegative(number)),
     "control_modes": ("128", positive(integer)),
-    "control_schedule": ("32,128", increasing(int_list)),
+    "control_schedule": ("32,128", cutoff_list),
     "control_scale": ("0.5", positive(number)),
     "control_tol": ("1e-12", positive(number)),
     "control_pairing_floor": ("0.5", positive(number)),
 }
 
 
-def exp_nonexistence(overrides=None) -> ExperimentReport:
+def exp_nonexistence(opt) -> Findings:
     """One-sided data: gauged solutions converge, ungauged ones cannot.
 
     Solves the twice-renormalized equation from truncations P_{<=N} of
@@ -554,7 +521,6 @@ def exp_nonexistence(overrides=None) -> ExperimentReport:
     an extended cutoff schedule, since a cap-M state trivially stabilizes past
     M; rule and state momenta are cross-checked where both exist.
     """
-    config, opt = parse_config(NONEXISTENCE_SCHEMA, overrides)
     s, p, alpha, sign = opt.s, opt.p, opt.alpha, opt.sign
     schedule, control_schedule = opt.schedule, opt.control_schedule
     cauchy_spec = NormSpec(opt.cauchy_s, opt.cauchy_p)
@@ -600,7 +566,7 @@ def exp_nonexistence(overrides=None) -> ExperimentReport:
     equation = EquationSpec("mkdv2", sign)
 
     def run(cap, cutoff, symmetric):
-        base = preset_state(cap, f"one_sided:{config['alpha']}")
+        base = preset_state(cap, f"one_sided:{fmt17(alpha)}")
         truncated = project_low(base, cutoff)
         if symmetric:
             # real-valued control: mirror the coefficients, momentum cancels
@@ -609,9 +575,12 @@ def exp_nonexistence(overrides=None) -> ExperimentReport:
                 * (truncated.coeffs + np.conj(truncated.coeffs[::-1]))
             )
         rate = momentum(truncated)
-        trajectory = _auto_solve(
-            truncated, equation, opt.T, opt.save_points, opt.dt_cap
-        )
+        # the largest stable dt (at most dt_cap) that lands saves on T*k/save_points
+        dt_limit = stability_dt_limit(truncated)
+        if opt.dt_cap > 0.0:
+            dt_limit = min(dt_limit, opt.dt_cap)
+        dt, save_every = phase_schedule(opt.T, dt_limit, opt.save_points)
+        trajectory = solve(truncated, equation, dt, opt.T, save_every)
         u_states = _unwind_momentum_phase(trajectory.states, sign, rate)
         pairing = _window_pairing(u_states, opt.T, opt.pairing_mode)
         return trajectory, u_states, rate, pairing
@@ -723,10 +692,7 @@ def exp_nonexistence(overrides=None) -> ExperimentReport:
             control_pairing_ratio, "control_pairing_floor",
         ),
     )
-    return ExperimentReport(
-        "nonexistence", config, series, scalars, verdicts,
-        _provenance("nonexistence", config),
-    )
+    return series, scalars, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +721,7 @@ def _illposedness_frequency(n: int, s: float) -> tuple[int, float]:
     return N, t_n
 
 
-def exp_illposedness(overrides=None) -> ExperimentReport:
+def exp_illposedness(opt) -> Findings:
     """Explicit plane-wave pairs: data converge, solutions separate.
 
     For each n the pair a = 1, a~ = 1 + 1/n rides frequency N_n, chosen so the
@@ -764,7 +730,6 @@ def exp_illposedness(overrides=None) -> ExperimentReport:
     t_n reach <N>^s N^{-s} (2 + 1/n) >= 2.  Analytic values never touch the
     solver; a separate verdict confirms the solver reproduces them.
     """
-    config, opt = parse_config(ILLPOSEDNESS_SCHEMA, overrides)
     s, sign, n_list = opt.s, opt.sign, opt.n_list
     if s >= 0.5:
         raise ConfigError(f"'s' must be below 1/2, got {s}")
@@ -802,17 +767,17 @@ def exp_illposedness(overrides=None) -> ExperimentReport:
         dt_cap = min(budget, stability_dt_limit(data_b), t_n)
         dt, save_every = phase_schedule(t_n, dt_cap, opt.save_points)
 
+        traj_a, traj_b = raise_first_abort(solve_many(
+            [data_a, data_b], [EquationSpec("mkdv", sign)] * 2, dt, t_n, save_every
+        ))
         largest = 0.0
-        finals = []
-        for amp, data in ((amp_a, data_a), (amp_b, data_b)):
-            trajectory = solve(data, EquationSpec("mkdv", sign), dt, t_n, save_every)
+        for amp, trajectory in ((amp_a, traj_a), (amp_b, traj_b)):
             for st in trajectory.states:
                 gap = float(japanese_bracket(N)) ** s * abs(
                     st.coeff(N) - exact_coeff(amp, st.time)
                 )
                 largest = max(largest, gap)
-            finals.append(trajectory.final)
-        (solver_gap,) = _fl_gaps([finals[0]], [finals[1]], spec)
+        (solver_gap,) = _fl_gaps([traj_a.final], [traj_b.final], spec)
         largest = max(largest, abs(solver_gap - analytic_gap))
         return N, t_n, initial_gap, analytic_gap, solver_gap, largest
 
@@ -866,10 +831,7 @@ def exp_illposedness(overrides=None) -> ExperimentReport:
             "agree_tol",
         ),
     )
-    return ExperimentReport(
-        "illposedness", config, series, scalars, verdicts,
-        _provenance("illposedness", config),
-    )
+    return series, scalars, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +851,7 @@ RANDOM_MOMENTUM_SCHEMA = {
 }
 
 
-def exp_random_momentum(overrides=None) -> ExperimentReport:
+def exp_random_momentum(opt) -> Findings:
     """Monte Carlo second moment of the truncated momentum of random data.
 
     Draws u0_hat(n) = g_n / |n| with independent standard-normal real and
@@ -899,7 +861,6 @@ def exp_random_momentum(overrides=None) -> ExperimentReport:
     the momentum vanish identically, and the vectorized formula is checked
     against an assembled state once.
     """
-    config, opt = parse_config(RANDOM_MOMENTUM_SCHEMA, overrides)
     samples, n_max = opt.samples, opt.n_max
     if samples < 100:
         raise ConfigError(f"'samples' must be at least 100, got {samples}")
@@ -982,10 +943,7 @@ def exp_random_momentum(overrides=None) -> ExperimentReport:
             control_max, "control_tol",
         ),
     )
-    return ExperimentReport(
-        "random_momentum", config, series, scalars, verdicts,
-        _provenance("random_momentum", config),
-    )
+    return series, scalars, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -1006,7 +964,7 @@ ENERGY_DRIFT_SCHEMA = {
 }
 
 
-def exp_energy_drift(overrides=None) -> ExperimentReport:
+def exp_energy_drift(opt) -> Findings:
     """Momentum above a cutoff moves less the higher the cutoff.
 
     One smooth solve; for each cutoff N the drift sup_t |P(P_{>N} u(t)) -
@@ -1014,7 +972,6 @@ def exp_energy_drift(overrides=None) -> ExperimentReport:
     threshold is an artifact choice, not a value the source material
     quantifies; drifts at rounding scale pass as below noise.
     """
-    config, opt = parse_config(ENERGY_DRIFT_SCHEMA, overrides)
     cutoffs = opt.cutoffs
     if not cutoffs or cutoffs[0] < 1:
         raise ConfigError("'cutoffs' must hold positive integers")
@@ -1064,10 +1021,7 @@ def exp_energy_drift(overrides=None) -> ExperimentReport:
             "drift_decays_in_cutoff", True, "below noise", "noise_floor",
             "all drifts at rounding scale",
         )
-    return ExperimentReport(
-        "energy_drift", config, series, scalars, (verdict,),
-        _provenance("energy_drift", config),
-    )
+    return series, scalars, (verdict,)
 
 
 # ---------------------------------------------------------------------------
@@ -1089,7 +1043,7 @@ APRIORI_SCHEMA = {
 }
 
 
-def exp_apriori_probe(overrides=None) -> ExperimentReport:
+def exp_apriori_probe(opt) -> Findings:
     """Growth of sup_t FL norm against the shape (1+||u0||)^{p/2-1} ||u0||.
 
     Scales one smooth profile through a ladder of amplitudes and reports the
@@ -1097,7 +1051,6 @@ def exp_apriori_probe(overrides=None) -> ExperimentReport:
     constant; the family passes when every member finishes and the ratio
     stays stable under amplitude doubling.
     """
-    config, opt = parse_config(APRIORI_SCHEMA, overrides)
     p = opt.p
     if not 2.0 <= p < math.inf:
         raise ConfigError(f"'p' must satisfy 2 <= p < inf, got {p}")
@@ -1159,10 +1112,7 @@ def exp_apriori_probe(overrides=None) -> ExperimentReport:
             "largest ratio quotient across consecutive amplitudes",
         ),
     )
-    return ExperimentReport(
-        "apriori_probe", config, series, scalars, verdicts,
-        _provenance("apriori_probe", config),
-    )
+    return series, scalars, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -1177,9 +1127,8 @@ MULTIPLIER_SCHEMA = {
 }
 
 
-def exp_multiplier_probe(overrides=None) -> ExperimentReport:
+def exp_multiplier_probe(opt) -> Findings:
     """Truncated multiplier sums stabilize as the summation radius doubles."""
-    config, opt = parse_config(MULTIPLIER_SCHEMA, overrides)
     n_list, radii = opt.n_list, opt.radii
     if not n_list:
         raise ConfigError("'n_list' must not be empty")
@@ -1220,10 +1169,7 @@ def exp_multiplier_probe(overrides=None) -> ExperimentReport:
                 "stab_tol", "largest relative change over the last two doublings",
             )
         )
-    return ExperimentReport(
-        "multiplier_probe", config, series, scalars, tuple(verdicts),
-        _provenance("multiplier_probe", config),
-    )
+    return series, scalars, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -1242,8 +1188,20 @@ EXPERIMENTS = {
 
 
 def run_experiment(name: str, overrides=None) -> ExperimentReport:
+    """Parse the experiment's config, run its body and assemble the report."""
     if name not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {name!r}; available: {', '.join(sorted(EXPERIMENTS))}"
         )
-    return EXPERIMENTS[name][1](overrides)
+    schema, body = EXPERIMENTS[name]
+    config, opt = parse_config(schema, overrides)
+    series, scalars, verdicts = body(opt)
+    digest = hashlib.sha256(
+        canonical_json({"experiment": name, "parameters": config}).encode()
+    ).hexdigest()
+    provenance = {
+        "seed": config.get("seed", config.get("seeds", "-")),
+        "version": __version__,
+        "config_digest": digest,
+    }
+    return ExperimentReport(name, config, series, scalars, tuple(verdicts), provenance)

@@ -139,15 +139,6 @@ def series_to_csv_text(xlabel: str, ylabel: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonable_metadata(metadata: dict) -> dict:
-    out = {}
-    for key, value in metadata.items():
-        if isinstance(value, tuple):
-            value = list(value)
-        out[str(key)] = value
-    return out
-
-
 def trajectory_to_dir(trajectory: Trajectory, directory, extra_manifest=None) -> None:
     """Write manifest.json plus states/state_NNNNNN.csv under ``directory``."""
     directory = pathlib.Path(directory)
@@ -165,7 +156,7 @@ def trajectory_to_dir(trajectory: Trajectory, directory, extra_manifest=None) ->
             "variant": trajectory.equation.variant,
             "sign": trajectory.equation.sign,
         },
-        "metadata": _jsonable_metadata(trajectory.metadata),
+        "metadata": trajectory.metadata,
     }
     if extra_manifest:
         for key, value in extra_manifest.items():

@@ -1,10 +1,12 @@
 """Experiment harness: config plumbing, verdicts, determinism, cheap smoke runs."""
 
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
 
+from mkdvlab import __version__
 from mkdvlab.dynamics import EquationSpec, solve
 from mkdvlab.errors import ConfigError, SolverAbort, StabilityWarning
 from mkdvlab.experiments import (
@@ -14,7 +16,9 @@ from mkdvlab.experiments import (
     VerdictRecord,
     _illposedness_frequency,
     _pseries_block_ratio,
-    resolve_config,
+    integer,
+    number,
+    parse_config,
     run_experiment,
     write_report,
 )
@@ -25,12 +29,13 @@ from mkdvlab.presets import preset_state
 
 # ------------------------------------------------------------------ config
 
-def test_resolve_config_merges_and_rejects_unknown():
-    defaults = {"alpha": "0.9", "modes": "32"}
-    merged = resolve_config(defaults, {"alpha": "1.1"})
+def test_parse_config_merges_and_rejects_unknown():
+    schema = {"alpha": ("0.9", number), "modes": ("32", integer)}
+    merged, opt = parse_config(schema, {"alpha": "1.1"})
     assert merged == {"alpha": "1.1", "modes": "32"}
+    assert (opt.alpha, opt.modes) == (1.1, 32)
     with pytest.raises(ConfigError) as info:
-        resolve_config(defaults, {"alhpa": "1.1"})
+        parse_config(schema, {"alhpa": "1.1"})
     assert "alhpa" in str(info.value)
     assert "alpha" in str(info.value)  # lists the valid keys
 
@@ -90,6 +95,21 @@ def test_write_report_layout(tmp_path):
     assert (tmp_path / "series" / "running_second_moment.csv").exists()
     text = (tmp_path / "series" / "running_second_moment.csv").read_text()
     assert text.splitlines()[0] == "samples,mean_P_sq"
+
+
+def test_run_experiment_assembles_the_report():
+    cheap = (
+        ("random_momentum", {"samples": "300", "n_max": "40", "seed": "7"}, "7"),
+        ("multiplier_probe", {"n_list": "0", "radii": "8,16,32"}, "-"),  # no seed key
+    )
+    for name, overrides, seed in cheap:
+        report = run_experiment(name, overrides)
+        assert report.name == name
+        assert report.provenance["seed"] == seed
+        assert report.provenance["version"] == __version__
+        echo = canonical_json({"experiment": name, "parameters": report.parameters})
+        digest = hashlib.sha256(echo.encode()).hexdigest()
+        assert report.provenance["config_digest"] == digest
 
 
 def test_reports_are_byte_identical():
@@ -325,3 +345,11 @@ def test_nonexistence_schedule_validation():
     for mode in ("100000", "-129"):
         with pytest.raises(ConfigError, match="pairing_mode"):
             run_experiment("nonexistence", {"pairing_mode": mode})
+    # a negative cutoff is rejected up front, naming its key
+    reduced = {"modes": "32", "schedule": "8,16", "T": "0.2", "save_points": "20",
+               "control_modes": "16", "control_schedule": "8,16",
+               "mom_schedule": "8,16,32,64,128"}
+    for key, cutoffs in (("schedule", "-4,16"), ("mom_schedule", "-1,8,16,32,64"),
+                         ("control_schedule", "-8,16")):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            run_experiment("nonexistence", {**reduced, key: cutoffs})

@@ -1,0 +1,62 @@
+"""Run a fixed list of mkdvlab commands and keep every output, for diffing.
+
+    python3 tools/golden.py SRC OUT
+
+SRC is the package source directory of a checkout (its ``src``); it goes
+first on sys.path.  Each command runs in process through
+``mkdvlab.cli.main`` with OUT as the working directory, and OUT/<command>.txt
+records its exit code, stdout and stderr with SRC replaced by ``<src>``.
+Run it on two checkouts and compare the two OUT trees with ``diff -r``.
+"""
+
+import contextlib
+import io
+import os
+import pathlib
+import sys
+
+REDUCED = ("modes=32 schedule=8,16 T=0.2 save_points=20 control_modes=16 "
+           "control_schedule=8,16 mom_schedule=8,16,32,64,128").split()
+NAMES = ("conservation gauge_equivalence nonexistence illposedness random_momentum "
+         "energy_drift apriori_probe multiplier_probe").split()
+
+
+def experiment(name, tag, *sets):
+    return f"{name}{tag}", ["experiment", name, "--out", f"{name}{tag}"] + [
+        arg for item in sets for arg in ("--set", item)]
+
+
+COMMANDS = [experiment(name, "") for name in NAMES] + [
+    experiment("nonexistence", "_t0.01", "T=0.01", "save_points=2"),
+    experiment("nonexistence", "_reduced", *REDUCED),
+    experiment("nonexistence", "_neg_schedule", *REDUCED, "schedule=-4,16"),
+    experiment("nonexistence", "_neg_mom", *REDUCED, "mom_schedule=-1,8,16,32,64"),
+    experiment("nonexistence", "_neg_control", *REDUCED, "control_schedule=-8,16"),
+    experiment("apriori_probe", "_abort", "modes=16", "amplitudes=0.5,1.0,60",
+               "dt=1e-3", "T=0.05", "save_every=10"),
+    ("solve", "solve --ic random_smooth:1.5,0 --T 0.005 --out solved".split()),
+    ("gauge_g1", "gauge --traj solved --which G1 --out g1".split()),
+    ("gauge_g2", "gauge --traj solved --which G2 --out g2".split()),
+    ("gauge_invert", "gauge --traj g1 --invert --out inverted".split()),
+    ("norms", "norms --state inverted/states/state_000050.csv --p inf,2 "
+              "--out norms.json".split()),
+]
+
+if __name__ == "__main__":
+    src, out = (str(pathlib.Path(arg).resolve()) for arg in sys.argv[1:3])
+    sys.path.insert(0, src)
+    from mkdvlab.cli import main
+
+    os.makedirs(out, exist_ok=True)
+    os.chdir(out)
+    for name, argv in COMMANDS:
+        stdout, stderr, code = io.StringIO(), io.StringIO(), 0
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        record = (f"exit {code}\n--- stdout\n{stdout.getvalue()}"
+                  f"--- stderr\n{stderr.getvalue()}")
+        pathlib.Path(f"{name}.txt").write_text(record.replace(src, "<src>"))
+        print(name, code, flush=True)
