@@ -3,9 +3,11 @@
 Every subcommand resolves its configuration the same way: schema defaults,
 then a flat key=value file (# comments allowed), then flags (``--set`` for
 experiments), later sources winning.  Every key is parsed before any work
-starts, and the resolved strings are echoed into each run's manifest.  Exit
-codes: 0 success, 1 configuration or usage error, 2 numerical abort, 3 verdict
-failure (after the report is written).
+starts, and the resolved strings are echoed into each run's manifest;
+``solve``, ``gauge`` and ``experiment`` refuse an output directory that
+already holds one, so two runs never mix.  Exit codes: 0 success, 1
+configuration or usage error, 2 numerical abort, 3 verdict failure (after
+the report is written).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from . import dynamics
 from .dynamics import EquationSpec
 from .errors import ConfigError, SolverAbort
 from .experiments import (
+    any_exponent,
     any_float,
     choice,
     flag,
@@ -60,6 +63,15 @@ def _read_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{line_no}: empty key")
         data[key.strip()] = value.strip()
     return data
+
+
+def _fresh_out(out) -> pathlib.Path:
+    """The output directory, refused if it already holds a run's manifest."""
+    out = pathlib.Path(out)
+    if (out / "manifest.json").exists():
+        raise ConfigError(f"output directory {str(out)!r} already holds a run "
+                          "(manifest.json); choose another --out")
+    return out
 
 
 def _overrides(config_path, flags: dict) -> dict[str, str]:
@@ -103,6 +115,7 @@ def solve_command(config_path, **flags):
     diagnostic under ``abort`` in its manifest, before exiting with code 2.
     """
     config, opt = parse_config(SOLVE_SCHEMA, _overrides(config_path, flags))
+    _fresh_out(opt.out)
     initial = preset_state(opt.modes, opt.ic)
     manifest = {"command": "solve", "config": config}
     try:
@@ -139,6 +152,7 @@ GAUGE_SCHEMA = {
 def gauge_command(config_path, **flags):
     """Apply or invert a gauge transformation on a stored trajectory."""
     config, opt = parse_config(GAUGE_SCHEMA, _overrides(config_path, flags))
+    _fresh_out(opt.out)
     trajectory = trajectory_from_dir(opt.traj)
     if opt.invert:
         result = invert_gauge(trajectory)
@@ -155,7 +169,7 @@ def gauge_command(config_path, **flags):
 NORMS_SCHEMA = {
     "state": ("", required),
     "s": ("0,0.5,1", some_of(any_float)),
-    "p": ("2", some_of(any_float)),
+    "p": ("2", some_of(any_exponent)),
     "out": ("", text),
 }
 
@@ -222,8 +236,8 @@ def experiment_command(name, config_path, assignments, out):
         key, _, value = item.partition("=")
         assigned[key.strip()] = value.strip()
 
+    out_dir = _fresh_out(out)
     report = run_experiment(name, _overrides(config_path, assigned))
-    out_dir = pathlib.Path(out)
     write_report(report, out_dir)
     manifest = {
         "command": "experiment",

@@ -1,10 +1,12 @@
 """Scripted experiments that exercise the solver and produce verdict reports.
 
 An experiment is a schema (key -> (default text, parser)) and a body,
-registered together in EXPERIMENTS.  ``run_experiment`` merges the overrides
-into the schema defaults and parses every key up front, hands the parsed
-values to the body, and builds the ExperimentReport from what the body
-returns (series, scalars, verdicts), the config echo and the provenance.
+registered together in EXPERIMENTS.  A key's parser holds every rule that
+reads that key alone; a body checks only combinations of keys.
+``run_experiment`` merges the overrides into the schema defaults and parses
+every key up front, hands the parsed values to the body, and builds the
+ExperimentReport from what the body returns (series, scalars, verdicts),
+the config echo and the provenance.
 Bodies run deterministically given their configuration.  Each verdict names
 the config key holding its threshold, so reports are self-describing;
 serialization is byte-stable across runs.
@@ -230,6 +232,16 @@ def increasing(parse):
     )
 
 
+def at_least(count: int, parse):
+    return _checked(parse, lambda values: len(values) >= count,
+                    f"a list of {count} or more entries")
+
+
+def distinct(parse):
+    return _checked(parse, lambda values: len(set(values)) == len(values),
+                    "free of repeats")
+
+
 def choice(*options: str):
     return _checked(text, options.__contains__, f"one of {', '.join(options)}")
 
@@ -242,8 +254,10 @@ def optional(parse):
 required = _checked(text, bool, "given")
 number = _checked(any_float, math.isfinite, "finite")
 variant = choice(*VARIANTS)
-# NaN fails the p >= 1 test too
-_exponent = _checked(any_float, lambda p: p >= 1.0, "s:p pairs with p >= 1")
+# FL exponents p >= 1, the domain NormSpec takes (NaN fails the test too);
+# s:p pairs and the norms table also take p = inf
+any_exponent = _checked(any_float, lambda p: p >= 1.0, "at least 1")
+exponent = _checked(number, lambda p: p >= 1.0, "at least 1")
 
 
 def sp_pair(key: str, raw: str) -> tuple[float, float]:
@@ -251,7 +265,7 @@ def sp_pair(key: str, raw: str) -> tuple[float, float]:
     s_text, colon, p_text = raw.partition(":")
     if not colon:
         raise ConfigError(f"malformed (s,p) pair {raw!r} in {key!r}; expected 's:p'")
-    return number(key, s_text), _exponent(key, p_text)
+    return number(key, s_text), any_exponent(key, p_text)
 
 
 def list_of(item):
@@ -278,9 +292,7 @@ def some_of(item):
 
 int_list = list_of(integer)
 cutoff_list = increasing(list_of(nonnegative(integer)))
-float_list = list_of(number)
-variant_list = some_of(variant)
-pair_list = some_of(sp_pair)
+ladder = increasing(at_least(1, list_of(positive(integer))))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +345,7 @@ def _pseries_block_ratio(exponent: float, blocks: int = 12) -> float:
 
 
 CONSERVATION_SCHEMA = {
-    "variants": ("mkdv,mkdv1,mkdv2", variant_list),
+    "variants": ("mkdv,mkdv1,mkdv2", distinct(some_of(variant))),
     "sign": ("+1", sign),
     "modes": ("32", positive(integer)),
     "ic": ("random_smooth:1.5,0", text),
@@ -432,7 +444,7 @@ GAUGE_EQUIVALENCE_SCHEMA = {
     "save_every": ("10", positive(integer)),
     "gap_tol": ("1e-6", positive(number)),
     "norm_s": ("0.5", number),
-    "norm_p": ("2", number),
+    "norm_p": ("2", exponent),
 }
 
 
@@ -482,24 +494,24 @@ def exp_gauge_equivalence(opt) -> Findings:
 
 NONEXISTENCE_SCHEMA = {
     "s": ("0.5", number),
-    "p": ("3", positive(number)),
+    "p": ("3", exponent),
     "alpha": ("0.9", positive(number)),
     "sign": ("+1", sign),
     "modes": ("512", positive(integer)),
-    "schedule": ("32,64,128,256", cutoff_list),
+    "schedule": ("32,64,128,256", at_least(2, cutoff_list)),
     "T": ("0.8", positive(number)),
     "save_points": ("160", positive(integer)),
     "pairing_mode": ("1", integer),
     "cauchy_s": ("-1", number),
-    "cauchy_p": ("2", number),
+    "cauchy_p": ("2", exponent),
     "shrink_factor": ("4", positive(number)),
     "u_floor": ("0.1", positive(number)),
     "pairing_drop": ("0.5", positive(number)),
-    "mom_schedule": ("32,64,128,256,512,1024,2048,4096", cutoff_list),
+    "mom_schedule": ("32,64,128,256,512,1024,2048,4096", at_least(4, cutoff_list)),
     "mom_tol": ("1e-6", positive(number)),
     "dt_cap": ("0", nonnegative(number)),
     "control_modes": ("128", positive(integer)),
-    "control_schedule": ("32,128", cutoff_list),
+    "control_schedule": ("32,128", at_least(2, cutoff_list)),
     "control_scale": ("0.5", positive(number)),
     "control_tol": ("1e-12", positive(number)),
     "control_pairing_floor": ("0.5", positive(number)),
@@ -526,21 +538,15 @@ def exp_nonexistence(opt) -> Findings:
     cauchy_spec = NormSpec(opt.cauchy_s, opt.cauchy_p)
     u_spec = NormSpec(s, p)
 
-    if len(schedule) < 2:
-        raise ConfigError("'schedule' needs at least two cutoffs")
     if schedule[-1] > opt.modes:
         raise ConfigError(
             f"schedule entry {schedule[-1]} exceeds the mode cap {opt.modes}"
         )
-    if len(control_schedule) < 2:
-        raise ConfigError("'control_schedule' needs at least two cutoffs")
     if control_schedule[-1] > opt.control_modes:
         raise ConfigError(
             f"control schedule entry {control_schedule[-1]} exceeds "
             f"control_modes {opt.control_modes}"
         )
-    if len(opt.mom_schedule) < 4:
-        raise ConfigError("'mom_schedule' needs at least four cutoffs")
     # past a cap the coefficient is 0, so the pairing would carry no signal
     if abs(opt.pairing_mode) > min(opt.modes, opt.control_modes):
         raise ConfigError(
@@ -700,10 +706,10 @@ def exp_nonexistence(opt) -> Findings:
 
 
 ILLPOSEDNESS_SCHEMA = {
-    "s": ("0", number),
-    "p": ("2", positive(number)),
+    "s": ("0", _checked(number, lambda s: s < 0.5, "below 1/2")),
+    "p": ("2", exponent),
     "sign": ("+1", sign),
-    "n_list": ("2,4,8,16", increasing(int_list)),
+    "n_list": ("2,4,8,16", ladder),
     "N_rule": ("minimal", choice("minimal")),
     "save_points": ("16", positive(integer)),
     "agree_tol": ("1e-8", positive(number)),
@@ -731,10 +737,6 @@ def exp_illposedness(opt) -> Findings:
     solver; a separate verdict confirms the solver reproduces them.
     """
     s, sign, n_list = opt.s, opt.sign, opt.n_list
-    if s >= 0.5:
-        raise ConfigError(f"'s' must be below 1/2, got {s}")
-    if not n_list or n_list[0] < 1:
-        raise ConfigError("'n_list' must hold positive integers")
     spec = NormSpec(s, opt.p)
 
     def run(n):
@@ -839,7 +841,7 @@ def exp_illposedness(opt) -> Findings:
 
 
 RANDOM_MOMENTUM_SCHEMA = {
-    "samples": ("10000", integer),
+    "samples": ("10000", _checked(integer, lambda n: n >= 100, "at least 100")),
     "n_max": ("1000", positive(integer)),
     "seed": ("0", nonnegative(integer)),
     "chunk": ("500", positive(integer)),
@@ -862,8 +864,6 @@ def exp_random_momentum(opt) -> Findings:
     against an assembled state once.
     """
     samples, n_max = opt.samples, opt.n_max
-    if samples < 100:
-        raise ConfigError(f"'samples' must be at least 100, got {samples}")
 
     rng = np.random.default_rng(opt.seed)
     inv_n = 1.0 / np.arange(1, n_max + 1, dtype=np.float64)
@@ -908,10 +908,10 @@ def exp_random_momentum(opt) -> Findings:
     counts = np.arange(1, samples + 1, dtype=np.float64)
     running = np.cumsum(momenta**2) / counts
     stride = max(1, samples // 200)
-    running_rows = tuple(
-        (float(counts[i]), float(running[i]))
-        for i in list(range(stride - 1, samples, stride)) + [samples - 1]
-    )
+    picks = list(range(stride - 1, samples, stride))
+    if picks[-1] != samples - 1:
+        picks.append(samples - 1)
+    running_rows = tuple((float(counts[i]), float(running[i])) for i in picks)
 
     series = {"running_second_moment": Series("samples", "mean_P_sq", running_rows)}
     scalars = {
@@ -955,7 +955,7 @@ ENERGY_DRIFT_SCHEMA = {
     "sign": ("+1", sign),
     "modes": ("128", positive(integer)),
     "ic": ("gaussian_bump:6,0.35,4", text),
-    "cutoffs": ("8,16,32,64", increasing(int_list)),
+    "cutoffs": ("8,16,32,64", ladder),
     "dt": ("2e-4", positive(number)),
     "T": ("1.0", positive(number)),
     "save_every": ("25", positive(integer)),
@@ -973,8 +973,6 @@ def exp_energy_drift(opt) -> Findings:
     quantifies; drifts at rounding scale pass as below noise.
     """
     cutoffs = opt.cutoffs
-    if not cutoffs or cutoffs[0] < 1:
-        raise ConfigError("'cutoffs' must hold positive integers")
     if cutoffs[-1] >= opt.modes:
         raise ConfigError(
             f"cutoff {cutoffs[-1]} must stay below the mode cap {opt.modes}"
@@ -1030,12 +1028,14 @@ def exp_energy_drift(opt) -> Findings:
 
 APRIORI_SCHEMA = {
     "variant": ("mkdv1", variant),
-    "s": ("0.6", number),
-    "p": ("3", number),
+    "s": ("0.6", positive(number)),
+    "p": ("3", _checked(number, lambda p: p >= 2.0, "at least 2")),
     "sign": ("+1", sign),
     "modes": ("48", positive(integer)),
     "ic": ("random_smooth:1.2,7", text),
-    "amplitudes": ("0.25,0.5,1.0,2.0,4.0", increasing(float_list)),
+    "amplitudes": (
+        "0.25,0.5,1.0,2.0,4.0", increasing(at_least(2, list_of(positive(number))))
+    ),
     "dt": ("5e-4", positive(number)),
     "T": ("0.5", positive(number)),
     "save_every": ("10", positive(integer)),
@@ -1052,12 +1052,8 @@ def exp_apriori_probe(opt) -> Findings:
     stays stable under amplitude doubling.
     """
     p = opt.p
-    if not 2.0 <= p < math.inf:
-        raise ConfigError(f"'p' must satisfy 2 <= p < inf, got {p}")
-    if not 0.0 < opt.s < 1.0 - 1.0 / p:
+    if opt.s >= 1.0 - 1.0 / p:
         raise ConfigError(f"'s' must lie in (0, 1 - 1/p) = (0, {1.0 - 1.0/p:g})")
-    if len(opt.amplitudes) < 2 or any(a <= 0 for a in opt.amplitudes):
-        raise ConfigError("'amplitudes' needs at least two positive entries")
 
     spec = NormSpec(opt.s, p)
     base = preset_state(opt.modes, opt.ic)
@@ -1120,9 +1116,16 @@ def exp_apriori_probe(opt) -> Findings:
 
 
 MULTIPLIER_SCHEMA = {
-    "pairs": ("0.5:2,0.75:8", pair_list),
-    "n_list": ("0,32,-32,256,-256", int_list),
-    "radii": ("64,128,256,512,1024,2048,4096", int_list),
+    "pairs": ("0.5:2,0.75:8", distinct(some_of(sp_pair))),
+    "n_list": ("0,32,-32,256,-256", at_least(1, list_of(_checked(
+        integer, lambda n: abs(n) <= RESONANCE_DOMAIN, f"at most {RESONANCE_DOMAIN} in size"
+    )))),
+    "radii": ("64,128,256,512,1024,2048,4096", _checked(
+        at_least(3, list_of(positive(integer))),
+        lambda radii: all(b == 2 * a for a, b in zip(radii, radii[1:]))
+        and radii[-1] <= J1_MAX_RADIUS,
+        f"doubling at each step up to at most {J1_MAX_RADIUS}",
+    )),
     "stab_tol": ("0.05", positive(number)),
 }
 
@@ -1130,16 +1133,6 @@ MULTIPLIER_SCHEMA = {
 def exp_multiplier_probe(opt) -> Findings:
     """Truncated multiplier sums stabilize as the summation radius doubles."""
     n_list, radii = opt.n_list, opt.radii
-    if not n_list:
-        raise ConfigError("'n_list' must not be empty")
-    if len(radii) < 3:
-        raise ConfigError("'radii' needs at least three entries")
-    if any(b != 2 * a for a, b in zip(radii, radii[1:])) or radii[0] < 1:
-        raise ConfigError("'radii' must double at each step from a positive start")
-    if radii[-1] > J1_MAX_RADIUS:
-        raise ConfigError(f"'radii' must not exceed {J1_MAX_RADIUS}, got {radii[-1]}")
-    if any(abs(n) > RESONANCE_DOMAIN for n in n_list):
-        raise ConfigError(f"'n_list' entries must satisfy |n| <= {RESONANCE_DOMAIN}")
 
     values = {
         (s, p, n): tuple(j1_multiplier_sum(n, s, p, K) for K in radii)

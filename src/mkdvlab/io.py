@@ -113,22 +113,49 @@ def state_to_json_text(state: FourierState) -> str:
     return canonical_json(payload)
 
 
-def state_from_json_text(text: str) -> FourierState:
-    payload = json.loads(text)
-    cap = int(payload["mode_cap"])
+def _json_object(text: str, source) -> dict:
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source}: malformed JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{source}: expected a JSON object")
+    return payload
+
+
+def _field(payload: dict, key: str, convert, source):
+    """``convert(payload[key])``, or a ValueError naming the source and key."""
+    try:
+        return convert(payload[key])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"{source}: missing or malformed field {key!r}") from None
+
+
+def _count(value) -> int:
+    if int(value) < 0:
+        raise ValueError(f"negative count {value!r}")
+    return int(value)
+
+
+def state_from_json_text(text: str, source="JSON state") -> FourierState:
+    payload = {"time": 0.0, **_json_object(text, source)}
+    cap = _field(payload, "mode_cap", _count, source)
     coeffs = np.zeros(2 * cap + 1, dtype=np.complex128)
-    for n, re, im in payload["coeffs"]:
-        if abs(int(n)) > cap:
-            raise ValueError(f"mode {n} exceeds mode_cap {cap}")
-        coeffs[int(n) + cap] = float(re) + 1j * float(im)
-    return FourierState(coeffs, cap, float(payload.get("time", 0.0)))
+    rows = _field(payload, "coeffs", lambda rows: [
+        (int(n), float(re) + 1j * float(im)) for n, re, im in rows
+    ], source)
+    for n, value in rows:
+        if abs(n) > cap:
+            raise ValueError(f"{source}: mode {n} exceeds mode_cap {cap}")
+        coeffs[n + cap] = value
+    return FourierState(coeffs, cap, _field(payload, "time", float, source))
 
 
 def load_state(path) -> FourierState:
     path = pathlib.Path(path)
     text = path.read_text()
     if path.suffix.lower() == ".json":
-        return state_from_json_text(text)
+        return state_from_json_text(text, path)
     return state_from_csv_text(text)
 
 
@@ -168,20 +195,22 @@ def trajectory_to_dir(trajectory: Trajectory, directory, extra_manifest=None) ->
 
 def trajectory_from_dir(directory) -> Trajectory:
     directory = pathlib.Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
+    source = directory / "manifest.json"
+    manifest = _json_object(source.read_text(), source)
     if manifest.get("kind") != "trajectory":
         raise ValueError(f"{directory} does not hold a trajectory")
-    dt = float(manifest["dt"])
-    t0 = float(manifest["t0"])
-    count = int(manifest["num_states"])
+    dt = _field(manifest, "dt", float, source)
+    t0 = _field(manifest, "t0", float, source)
+    count = _field(manifest, "num_states", _count, source)
     states = []
     for k in range(count):
         text = (directory / "states" / f"state_{k:06d}.csv").read_text()
         states.append(state_from_csv_text(text, time=t0 + k * dt))
     equation = None
     if manifest.get("equation"):
-        equation = EquationSpec(
-            manifest["equation"]["variant"], int(manifest["equation"]["sign"])
+        equation = _field(
+            manifest, "equation",
+            lambda spec: EquationSpec(spec["variant"], int(spec["sign"])), source,
         )
     metadata = manifest.get("metadata") or {}
     return Trajectory(tuple(states), dt, equation, metadata)

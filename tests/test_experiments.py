@@ -40,6 +40,43 @@ def test_parse_config_merges_and_rejects_unknown():
     assert "alpha" in str(info.value)  # lists the valid keys
 
 
+# (experiment, key, bad value): each rule reads that key alone, so its parser
+# rejects the value before any experiment body runs
+SINGLE_KEY_RULES = [
+    ("nonexistence", "schedule", "32"),
+    ("nonexistence", "control_schedule", "32"),
+    ("nonexistence", "mom_schedule", "32,64,128"),
+    ("nonexistence", "p", "0.5"),
+    ("nonexistence", "cauchy_p", "0.5"),
+    ("illposedness", "s", "0.5"),
+    ("illposedness", "p", "0.5"),
+    ("illposedness", "n_list", ""),
+    ("illposedness", "n_list", "0,2"),
+    ("random_momentum", "samples", "99"),
+    ("energy_drift", "cutoffs", ""),
+    ("energy_drift", "cutoffs", "0,8"),
+    ("apriori_probe", "s", "0"),
+    ("apriori_probe", "p", "1.5"),
+    ("apriori_probe", "amplitudes", "1.0"),
+    ("apriori_probe", "amplitudes", "-1.0,1.0"),
+    ("gauge_equivalence", "norm_p", "0.5"),
+    ("multiplier_probe", "n_list", ""),
+    ("multiplier_probe", "n_list", "0,1048577"),
+    ("multiplier_probe", "radii", "8,16"),
+    ("multiplier_probe", "radii", "0,0,0"),
+    ("multiplier_probe", "radii", "8,12,24"),
+    ("multiplier_probe", "radii", "32768,65536,131072"),
+    ("multiplier_probe", "pairs", "0.5:2,0.5:2"),
+    ("conservation", "variants", "mkdv,mkdv"),
+]
+
+
+@pytest.mark.parametrize("name, key, bad", SINGLE_KEY_RULES)
+def test_single_key_rules_live_in_the_schema(name, key, bad):
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        parse_config(EXPERIMENTS[name][0], {key: bad})
+
+
 def test_run_experiment_unknown_name():
     with pytest.raises(ConfigError) as info:
         run_experiment("does_not_exist")
@@ -192,6 +229,17 @@ def test_random_momentum_control_and_crosscheck():
     assert report.all_passed
     assert report.scalars["crosscheck_gap"] < 1e-12
     assert report.scalars["control_momentum_max"] < 1e-12
+
+
+def test_random_momentum_running_moment_ends_once_at_samples():
+    # 400 samples is a multiple of the stride 2, 401 is not
+    for samples in (400, 401):
+        report = run_experiment(
+            "random_momentum", {"samples": str(samples), "n_max": "40"}
+        )
+        counts = [x for x, _ in report.series["running_second_moment"].rows]
+        assert all(b > a for a, b in zip(counts, counts[1:]))
+        assert counts[-1] == samples
 
 
 def test_random_momentum_rejects_tiny_sample():

@@ -267,6 +267,72 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert "nowhere" in err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+    # a manifest without dt, a JSON state without mode_cap: one line naming
+    # the file and the field, no traceback
+    del manifest["dt"]
+    (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
+    state_path = tmp_path / "st.json"
+    payload = json.loads(state_to_json_text(preset_state(4, "plane_wave:2,1,0")))
+    del payload["mode_cap"]
+    state_path.write_text(json.dumps(payload))
+    for argv, path, field in (
+        (("gauge", "--traj", str(tmp_path / "d"), "--out", str(tmp_path / "f")),
+         tmp_path / "d" / "manifest.json", "dt"),
+        (("norms", "--state", str(state_path)), state_path, "mode_cap"),
+    ):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid value: ")
+        assert str(path) in err and f"'{field}'" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_norms_rejects_exponent_below_one(tmp_path, capsys):
+    state_path = tmp_path / "state.csv"
+    state_path.write_text(state_to_csv_text(preset_state(6, "plane_wave:5,1,0.5")))
+    assert run_cli("norms", "--state", str(state_path), "--p", "inf,0.5") == 1
+    assert "config error: 'p' must be at least 1" in capsys.readouterr().err
+
+
+def _assert_refused(argv, out, capsys):
+    """A second run into ``out`` exits 1 naming it and changes no file."""
+    before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(out) in err
+    after = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    assert after == before
+
+
+def test_cli_solve_refuses_a_used_out(tmp_path, capsys):
+    out = tmp_path / "s"
+    solve = ["solve", "--modes", "8", "--ic", "random_smooth:1.5,0", "--out", str(out)]
+    assert run_cli(*solve, "--T", "0.002") == 0
+    assert len(list((out / "states").iterdir())) == 21
+    _assert_refused(solve + ["--T", "0.001"], out, capsys)
+
+
+def test_cli_gauge_refuses_a_used_out(tmp_path, capsys):
+    solved, out = tmp_path / "s", tmp_path / "g"
+    assert run_cli("solve", "--modes", "8", "--ic", "random_smooth:1.5,0",
+                   "--T", "0.001", "--out", str(solved)) == 0
+    gauge = ["gauge", "--traj", str(solved), "--out", str(out)]
+    assert run_cli(*gauge, "--which", "G1") == 0
+    _assert_refused(gauge + ["--which", "G2"], out, capsys)
+
+
+def test_cli_experiment_refuses_a_used_out(tmp_path, capsys):
+    out = tmp_path / "report"
+    sets = ["--set", "modes=8", "--set", "dt=1e-3", "--set", "T=0.01",
+            "--set", "save_every=5"]
+    experiment = ["experiment", "conservation", *sets, "--out", str(out)]
+    assert run_cli(*experiment, "--set", "variants=mkdv") == 0
+    _assert_refused(experiment + ["--set", "variants=mkdv1"], out, capsys)
+    assert sorted(path.name for path in (out / "series").iterdir()) == [
+        "mkdv_fl_half_2.csv", "mkdv_mass.csv", "mkdv_momentum.csv",
+    ]
 
 
 def test_cli_experiment_report_and_verdict_exit(tmp_path, capsys):

@@ -3,9 +3,10 @@
     python3 tools/golden.py SRC OUT
 
 SRC is the package source directory of a checkout (its ``src``); it goes
-first on sys.path.  Each command runs in process through
-``mkdvlab.cli.main`` with OUT as the working directory, and OUT/<command>.txt
-records its exit code, stdout and stderr with SRC replaced by ``<src>``.
+first on sys.path.  OUT must not exist yet.  Each command runs in process
+through ``mkdvlab.cli.main`` with OUT as the working directory, and
+OUT/<command>.txt records its exit code, stdout and stderr with SRC replaced
+by ``<src>``.
 Run it on two checkouts and compare the two OUT trees with ``diff -r``.
 """
 
@@ -47,7 +48,10 @@ if __name__ == "__main__":
     sys.path.insert(0, src)
     from mkdvlab.cli import main
 
-    os.makedirs(out, exist_ok=True)
+    # a rerun into an old OUT would only record refusals of the existing runs
+    if os.path.exists(out):
+        sys.exit(f"{out} already exists; give a fresh OUT directory")
+    os.makedirs(out)
     os.chdir(out)
     for name, argv in COMMANDS:
         stdout, stderr, code = io.StringIO(), io.StringIO(), 0
