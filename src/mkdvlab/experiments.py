@@ -37,7 +37,7 @@ from .dynamics import (
     stability_dt_limit,
 )
 from .errors import ConfigError, SolverAbort
-from .gauges import apply_gauge1, apply_gauge2
+from .gauges import GaugeSpec, apply_gauge1, apply_gauge2, invert_gauge
 from .io import canonical_json, fmt17, series_to_csv_text
 from .norms import (
     NormSpec,
@@ -49,7 +49,13 @@ from .norms import (
     raised_cosine,
 )
 from .presets import parse_preset, preset_state
-from .spectral import FourierState, project_high, project_low, state_from_modes
+from .spectral import (
+    FourierState,
+    conjugate_state,
+    project_high,
+    project_low,
+    state_from_modes,
+)
 
 # ---------------------------------------------------------------------------
 # report plumbing
@@ -97,34 +103,12 @@ class ExperimentReport:
         return all(v.passed for v in self.verdicts)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "parameters": dict(self.parameters),
-            "series": {
-                key: {
-                    "xlabel": s.xlabel,
-                    "ylabel": s.ylabel,
-                    "rows": [[float(x), float(y)] for x, y in s.rows],
-                }
-                for key, s in self.series.items()
-            },
-            "scalars": {k: float(v) for k, v in self.scalars.items()},
-            "verdicts": [
-                {
-                    "name": v.name,
-                    "passed": v.passed,
-                    "observed": v.observed
-                    if isinstance(v.observed, str)
-                    else float(v.observed),
-                    "threshold_key": v.threshold_key,
-                    "threshold_value": self.parameters[v.threshold_key],
-                    "note": v.note,
-                }
-                for v in self.verdicts
-            ],
-            "provenance": dict(self.provenance),
-            "all_passed": self.all_passed,
-        }
+        payload = dataclasses.asdict(self)
+        for series in payload["series"].values():
+            series["rows"] = [list(row) for row in series["rows"]]
+        for verdict in payload["verdicts"]:
+            verdict["threshold_value"] = self.parameters[verdict["threshold_key"]]
+        return {**payload, "all_passed": self.all_passed}
 
 
 def write_report(report: ExperimentReport, directory) -> None:
@@ -305,14 +289,6 @@ def _fl_gaps(left, right, spec: NormSpec) -> list[float]:
         fl_norm(a.with_(coeffs=a.coeffs - b.coeffs), spec)
         for a, b in zip(left, right, strict=True)
     ]
-
-
-def _unwind_momentum_phase(states, sign: int, rate: float):
-    """Invert the second gauge: multiply each slice by e^{+i sign rate t}."""
-    return tuple(
-        st.with_(coeffs=st.coeffs * np.exp(1j * sign * rate * st.time))
-        for st in states
-    )
 
 
 def _window_pairing(states, span: float, mode: int) -> float:
@@ -578,7 +554,7 @@ def exp_nonexistence(opt) -> Findings:
             # real-valued control: mirror the coefficients, momentum cancels
             truncated = truncated.with_(
                 coeffs=opt.control_scale
-                * (truncated.coeffs + np.conj(truncated.coeffs[::-1]))
+                * (truncated.coeffs + conjugate_state(truncated).coeffs)
             )
         rate = momentum(truncated)
         # the largest stable dt (at most dt_cap) that lands saves on T*k/save_points
@@ -587,7 +563,7 @@ def exp_nonexistence(opt) -> Findings:
             dt_limit = min(dt_limit, opt.dt_cap)
         dt, save_every = phase_schedule(opt.T, dt_limit, opt.save_points)
         trajectory = solve(truncated, equation, dt, opt.T, save_every)
-        u_states = _unwind_momentum_phase(trajectory.states, sign, rate)
+        u_states = invert_gauge(trajectory, GaugeSpec("G2", sign, rate)).states
         pairing = _window_pairing(u_states, opt.T, opt.pairing_mode)
         return trajectory, u_states, rate, pairing
 

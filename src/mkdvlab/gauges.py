@@ -36,7 +36,7 @@ class GaugeSpec:
         object.__setattr__(self, "scalar", float(self.scalar))
 
     def to_record(self) -> dict:
-        return {"which": self.which, "sign": self.sign, "scalar": self.scalar}
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_record(cls, record: dict) -> "GaugeSpec":
@@ -60,38 +60,29 @@ def _resolve_sign(trajectory: Trajectory, sign: int | None) -> int:
     return int(sign)
 
 
-def _slice_phases(spec: GaugeSpec, state) -> np.ndarray:
-    if spec.which == "G1":
-        # Translation by sign * mu * t: mode n picks up e^{-i n sign mu t}.
-        return np.exp(-1j * spec.sign * spec.scalar * state.time * state.modes)
-    # Global phase e^{-i sign P t}.
-    return np.full(
-        state.coeffs.shape, np.exp(-1j * spec.sign * spec.scalar * state.time)
-    )
-
-
 def _apply(trajectory: Trajectory, spec: GaugeSpec, inverse: bool) -> Trajectory:
-    slices = []
-    for st in trajectory.states:
-        phases = _slice_phases(spec, st)
-        if inverse:
-            phases = np.conj(phases)
-        slices.append(st.with_(coeffs=phases * st.coeffs))
-
-    metadata = dict(trajectory.metadata)
-    records = list(metadata.get("gauges", ()))
-    domain, codomain = _FORWARD[spec.which]
-    equation = trajectory.equation
+    # Phase angles: G2 turns slice t by -sign P t, G1 its mode n by -n sign mu t.
+    phases = -1j * spec.sign * spec.scalar * trajectory.times[:, None]
+    if spec.which == "G1":
+        phases = phases * trajectory.initial.modes
+    np.exp(phases, out=phases)
     if inverse:
-        records.pop()
-        if equation is not None and equation.variant == codomain:
-            equation = EquationSpec(domain, equation.sign)
+        np.conj(phases, out=phases)
+    slices = [st.with_(coeffs=row * st.coeffs)
+              for st, row in zip(trajectory.states, phases, strict=True)]
+
+    records = list(trajectory.metadata.get("gauges", ()))
+    domain, codomain = _FORWARD[spec.which]
+    if inverse:
+        del records[-1:]
+        domain, codomain = codomain, domain
     else:
         records.append(spec.to_record())
-        if equation is not None and equation.variant == domain:
-            equation = EquationSpec(codomain, equation.sign)
-    metadata["gauges"] = records
-    return Trajectory(tuple(slices), trajectory.dt, equation, metadata)
+    equation = trajectory.equation
+    if equation is not None and equation.variant == domain:
+        equation = EquationSpec(codomain, equation.sign)
+    metadata = {**trajectory.metadata, "gauges": records}
+    return Trajectory(slices, trajectory.dt, equation, metadata)
 
 
 def apply_gauge1(trajectory: Trajectory, sign: int | None = None) -> Trajectory:
@@ -122,12 +113,13 @@ def invert_gauge(
 
     When ``spec`` is given it must match the recorded gauge (same map,
     same sign, scalar to within 1e-12 relative), otherwise the inversion
-    is refused.
+    is refused.  On a trajectory that records no gauge, ``spec`` is undone
+    as given: a G2 inverse rebuilds mkdv1 candidates from mkdv2 solutions.
     """
     recorded = last_gauge(trajectory)
-    if recorded is None:
+    if recorded is None and spec is None:
         raise GaugeMismatchError("trajectory has no recorded gauge to invert")
-    if spec is not None:
+    if recorded is not None and spec is not None:
         scalar_close = abs(spec.scalar - recorded.scalar) <= 1e-12 * (
             1.0 + abs(recorded.scalar)
         )
@@ -135,4 +127,4 @@ def invert_gauge(
             raise GaugeMismatchError(
                 f"requested {spec} does not match recorded {recorded}"
             )
-    return _apply(trajectory, recorded, inverse=True)
+    return _apply(trajectory, recorded or spec, inverse=True)

@@ -7,12 +7,14 @@ yield identical bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 
 import numpy as np
 
 from .dynamics import EquationSpec, Trajectory
+from .gauges import GaugeSpec
 from .spectral import FourierState
 
 
@@ -79,24 +81,26 @@ def state_to_csv_text(state: FourierState) -> str:
     return "\n".join(lines) + "\n"
 
 
-def state_from_csv_text(text: str, time: float = 0.0) -> FourierState:
+def state_from_csv_text(text: str, time: float = 0.0, source="state CSV") -> FourierState:
     rows: dict[int, complex] = {}
-    lines = [line.strip() for line in text.strip().splitlines() if line.strip()]
-    if not lines or lines[0].lower().replace(" ", "") != "n,re,im":
-        raise ValueError("state CSV must start with header 'n,re,im'")
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"bad state CSV row: {line!r}")
-        n = int(parts[0])
+    lines = [(no, line.strip()) for no, line in enumerate(text.splitlines(), 1)
+             if line.strip()]
+    if not lines or lines[0][1].lower().replace(" ", "") != "n,re,im":
+        raise ValueError(f"{source}: must start with header 'n,re,im'")
+    for line_no, line in lines[1:]:
+        try:
+            n, real, imag = line.split(",")
+            n, value = int(n), float(real) + 1j * float(imag)
+        except ValueError:
+            raise ValueError(f"{source}:{line_no}: bad row {line!r}") from None
         if n in rows:
-            raise ValueError(f"state CSV lists mode {n} twice")
-        rows[n] = float(parts[1]) + 1j * float(parts[2])
+            raise ValueError(f"{source}:{line_no}: mode {n} listed twice")
+        rows[n] = value
     if not rows:
-        raise ValueError("state CSV carries no modes")
+        raise ValueError(f"{source}: carries no modes")
     cap = max(abs(n) for n in rows)
     if sorted(rows) != list(range(-cap, cap + 1)):
-        raise ValueError("state CSV must list every mode -M..M exactly once")
+        raise ValueError(f"{source}: must list every mode -M..M exactly once")
     coeffs = np.array([rows[n] for n in range(-cap, cap + 1)])
     return FourierState(coeffs, cap, time)
 
@@ -156,7 +160,7 @@ def load_state(path) -> FourierState:
     text = path.read_text()
     if path.suffix.lower() == ".json":
         return state_from_json_text(text, path)
-    return state_from_csv_text(text)
+    return state_from_csv_text(text, source=path)
 
 
 def series_to_csv_text(xlabel: str, ylabel: str, rows) -> str:
@@ -179,10 +183,7 @@ def trajectory_to_dir(trajectory: Trajectory, directory, extra_manifest=None) ->
         "num_states": len(trajectory),
         "equation": None
         if trajectory.equation is None
-        else {
-            "variant": trajectory.equation.variant,
-            "sign": trajectory.equation.sign,
-        },
+        else dataclasses.asdict(trajectory.equation),
         "metadata": trajectory.metadata,
     }
     if extra_manifest:
@@ -191,6 +192,15 @@ def trajectory_to_dir(trajectory: Trajectory, directory, extra_manifest=None) ->
     (directory / "manifest.json").write_text(canonical_json(manifest))
     for k, state in enumerate(trajectory.states):
         (states_dir / f"state_{k:06d}.csv").write_text(state_to_csv_text(state))
+
+
+def _metadata(value) -> dict:
+    """A manifest's metadata: a JSON object whose gauge records all parse."""
+    if not isinstance(value, dict):
+        raise TypeError("metadata must be a JSON object")
+    for record in value.get("gauges", []):
+        GaugeSpec.from_record(record)
+    return value
 
 
 def trajectory_from_dir(directory) -> Trajectory:
@@ -204,13 +214,15 @@ def trajectory_from_dir(directory) -> Trajectory:
     count = _field(manifest, "num_states", _count, source)
     states = []
     for k in range(count):
-        text = (directory / "states" / f"state_{k:06d}.csv").read_text()
-        states.append(state_from_csv_text(text, time=t0 + k * dt))
+        path = directory / "states" / f"state_{k:06d}.csv"
+        states.append(state_from_csv_text(path.read_text(), t0 + k * dt, path))
     equation = None
     if manifest.get("equation"):
         equation = _field(
             manifest, "equation",
             lambda spec: EquationSpec(spec["variant"], int(spec["sign"])), source,
         )
-    metadata = manifest.get("metadata") or {}
+    metadata = {}
+    if manifest.get("metadata"):
+        metadata = _field(manifest, "metadata", _metadata, source)
     return Trajectory(tuple(states), dt, equation, metadata)

@@ -262,6 +262,19 @@ def test_energy_drift_smoke():
     assert values[-1] < values[0]
 
 
+def test_energy_drift_below_noise_on_zero_data():
+    report = run_experiment(
+        "energy_drift",
+        {"ic": "zero", "modes": "16", "cutoffs": "4,8", "dt": "1e-3", "T": "0.01",
+         "save_every": "5"},
+    )
+    [verdict] = report.verdicts
+    assert (verdict.passed, verdict.observed) == (True, "below noise")
+    assert verdict.threshold_key == "noise_floor"
+    assert "fitted_slope" not in report.scalars
+    assert all(y == 0.0 for _, y in report.series["drift_vs_cutoff"].rows)
+
+
 def test_energy_drift_rejects_cutoff_at_cap():
     with pytest.raises(ConfigError):
         run_experiment("energy_drift", {"modes": "16", "cutoffs": "8,16"})

@@ -1,6 +1,7 @@
 """Serialization round trips, the command-line surface and the package exports."""
 
 import json
+import shutil
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import random_state
 from mkdvlab.cli import main
 from mkdvlab.dynamics import EquationSpec, solve
 from mkdvlab.errors import StabilityWarning
+from mkdvlab.norms import NormSpec, fl_norm, mass, momentum
 from mkdvlab.io import (
     canonical_json,
     fmt17,
@@ -267,8 +269,13 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert "nowhere" in err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
-    # a manifest without dt, a JSON state without mode_cap: one line naming
-    # the file and the field, no traceback
+    # manifests with a gauge record missing its sign or with metadata that is
+    # not an object, one without dt, a JSON state without mode_cap: one line
+    # naming the file and the field, no traceback
+    for name, metadata in (("g", {"gauges": [{"which": "G1"}]}), ("h", [1, 2])):
+        shutil.copytree(tmp_path / "d", tmp_path / name)
+        (tmp_path / name / "manifest.json").write_text(
+            json.dumps({**manifest, "metadata": metadata}))
     del manifest["dt"]
     (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
     state_path = tmp_path / "st.json"
@@ -279,6 +286,10 @@ def test_cli_exit_codes(tmp_path, capsys):
         (("gauge", "--traj", str(tmp_path / "d"), "--out", str(tmp_path / "f")),
          tmp_path / "d" / "manifest.json", "dt"),
         (("norms", "--state", str(state_path)), state_path, "mode_cap"),
+        (("gauge", "--traj", str(tmp_path / "g"), "--invert",
+          "--out", str(tmp_path / "i")), tmp_path / "g" / "manifest.json", "metadata"),
+        (("gauge", "--traj", str(tmp_path / "h"), "--which", "G1",
+          "--out", str(tmp_path / "j")), tmp_path / "h" / "manifest.json", "metadata"),
     ):
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err
@@ -286,6 +297,91 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert str(path) in err and f"'{field}'" in err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_names_a_malformed_state_file(tmp_path, capsys):
+    solved = tmp_path / "s"
+    assert run_cli("solve", "--modes", "4", "--ic", "random_smooth:1.5,0",
+                   "--T", "0.0003", "--out", str(solved)) == 0
+    first, second = (solved / "states" / f"state_00000{k}.csv" for k in (1, 2))
+    # a non-integer mode on line 3 of one state file, a bad header in the next
+    original = first.read_text()
+    lines = original.splitlines()
+    lines[2] = "abc," + lines[2].split(",", 1)[1]
+    first.write_text("\n".join(lines) + "\n")
+    second.write_text("wrong,header\n" + second.read_text().split("\n", 1)[1])
+    row_error = f"{first}:3: bad row 'abc,"
+    header_error = f"{second}: must start with header 'n,re,im'"
+    gauge = ("gauge", "--traj", str(solved), "--out", str(tmp_path / "g"))
+
+    def assert_one_line_naming(argv, named):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid value: ") and named in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    assert_one_line_naming(("norms", "--state", str(first)), row_error)
+    assert_one_line_naming(("norms", "--state", str(second)), header_error)
+    assert_one_line_naming(gauge, row_error)  # the states are read in order
+    first.write_text(original)
+    assert_one_line_naming(gauge, header_error)
+
+
+def test_cli_gauge_g2_and_pretty_norms(tmp_path, capsys):
+    solved, gauged = tmp_path / "s", tmp_path / "g2"
+    assert run_cli("solve", "--eq", "mkdv1", "--modes", "6", "--dt", "1e-3",
+                   "--T", "0.004", "--ic", "random_smooth:1.5,2",
+                   "--out", str(solved)) == 0
+    assert run_cli("gauge", "--traj", str(solved), "--which", "G2",
+                   "--out", str(gauged)) == 0
+    original, result = trajectory_from_dir(solved), trajectory_from_dir(gauged)
+    assert result.equation == EquationSpec("mkdv2", 1)
+    [record] = result.metadata["gauges"]
+    assert record == {"which": "G2", "sign": 1, "scalar": momentum(original.initial)}
+    for before, after in zip(original.states, result.states):
+        phase = np.exp(-1j * record["scalar"] * before.time)
+        assert np.max(np.abs(after.coeffs - phase * before.coeffs)) < 1e-15
+    capsys.readouterr()
+    last = gauged / "states" / "state_000004.csv"
+    assert run_cli("norms", "--state", str(last), "--s", "0,1", "--pretty") == 0
+    lines = capsys.readouterr().out.splitlines()
+    state = load_state(last)
+    assert lines == [
+        f"mass     = {mass(state):.12g}",
+        f"momentum = {momentum(state):.12g}",
+        f"FL^(0,2)  {fl_norm(state, NormSpec(0.0, 2.0)):.12g}",
+        f"FL^(1,2)  {fl_norm(state, NormSpec(1.0, 2.0)):.12g}",
+    ]
+
+
+# (argv, part of the error): each is refused with exit code 1; {tmp} is the
+# test's directory, where eq.cfg holds the line "=3"
+REJECTED = [
+    (("experiment", "multiplier_probe", "--set", "radii", "--out", "{tmp}/o"),
+     "config error: --set expects key=value, got 'radii'"),
+    (("solve", "--config", "{tmp}/eq.cfg", "--out", "{tmp}/o"), "eq.cfg:1: empty key"),
+    (("solve", "--bogus", "1"), "No such option"),
+    (("solve", "--ic", "nope", "--out", "{tmp}/o"), "unknown ic preset 'nope'"),
+    (("solve", "--ic", "plane_wave:1,2", "--out", "{tmp}/o"),
+     "ic preset plane_wave takes 3 arguments, got 2"),
+    (("solve", "--modes", "4", "--ic", "plane_wave:5,1,0", "--out", "{tmp}/o"),
+     "plane_wave mode 5 exceeds mode_cap 4"),
+    (("solve", "--ic", "gaussian_bump:0,1", "--out", "{tmp}/o"),
+     "gaussian_bump width must be positive"),
+    (("solve", "--ic", "random_smooth:1.5,-1", "--out", "{tmp}/o"),
+     "random_smooth seed must be a nonnegative integer"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REJECTED)
+def test_cli_rejections_exit_one(tmp_path, capsys, argv, message):
+    (tmp_path / "eq.cfg").write_text("=3\n")
+    assert run_cli(*(arg.format(tmp=tmp_path) for arg in argv)) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_norms_rejects_exponent_below_one(tmp_path, capsys):
