@@ -54,10 +54,7 @@ from .presets import PRESET_NAMES, parse_preset, preset_state
 from .spectral import (
     FourierState,
     GridFunction,
-    analysis,
     conjugate_state,
-    dealiased_triple_product,
-    derivative,
     padded_grid_size,
     project_high,
     project_low,
@@ -112,10 +109,7 @@ __all__ = [
     "preset_state",
     "FourierState",
     "GridFunction",
-    "analysis",
     "conjugate_state",
-    "dealiased_triple_product",
-    "derivative",
     "padded_grid_size",
     "project_high",
     "project_low",

@@ -23,7 +23,6 @@ from .dynamics import EquationSpec
 from .errors import ConfigError, SolverAbort
 from .experiments import (
     any_exponent,
-    any_float,
     choice,
     flag,
     integer,
@@ -151,7 +150,10 @@ GAUGE_SCHEMA = {
 @click.option("--out", default=None, help="output trajectory directory")
 def gauge_command(config_path, **flags):
     """Apply or invert a gauge transformation on a stored trajectory."""
-    config, opt = parse_config(GAUGE_SCHEMA, _overrides(config_path, flags))
+    overrides = _overrides(config_path, flags)
+    config, opt = parse_config(GAUGE_SCHEMA, overrides)
+    if opt.invert and ("which" in overrides or "sign" in overrides):
+        raise ConfigError("'invert' undoes the recorded gauge; drop 'which' and 'sign'")
     _fresh_out(opt.out)
     trajectory = trajectory_from_dir(opt.traj)
     if opt.invert:
@@ -168,7 +170,7 @@ def gauge_command(config_path, **flags):
 
 NORMS_SCHEMA = {
     "state": ("", required),
-    "s": ("0,0.5,1", some_of(any_float)),
+    "s": ("0,0.5,1", some_of(number)),
     "p": ("2", some_of(any_exponent)),
     "out": ("", text),
 }

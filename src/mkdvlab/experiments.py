@@ -162,7 +162,8 @@ def text(key: str, raw: str) -> str:
 
 
 def flag(key: str, raw: str) -> bool:
-    return raw.strip().lower() in ("true", "1", "yes")
+    word = choice("true", "1", "yes", "false", "0", "no")(key, raw.strip().lower())
+    return word in ("true", "1", "yes")
 
 
 def integer(key: str, raw: str) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -141,6 +142,12 @@ def _count(value) -> int:
     return int(value)
 
 
+def _finite(value, low=-math.inf) -> float:
+    if not low < float(value) < math.inf:
+        raise ValueError(f"{value!r} is not a finite number above {low}")
+    return float(value)
+
+
 def state_from_json_text(text: str, source="JSON state") -> FourierState:
     payload = {"time": 0.0, **_json_object(text, source)}
     cap = _field(payload, "mode_cap", _count, source)
@@ -209,8 +216,8 @@ def trajectory_from_dir(directory) -> Trajectory:
     manifest = _json_object(source.read_text(), source)
     if manifest.get("kind") != "trajectory":
         raise ValueError(f"{directory} does not hold a trajectory")
-    dt = _field(manifest, "dt", float, source)
-    t0 = _field(manifest, "t0", float, source)
+    dt = _field(manifest, "dt", lambda value: _finite(value, 0.0), source)
+    t0 = _field(manifest, "t0", _finite, source)
     count = _field(manifest, "num_states", _count, source)
     states = []
     for k in range(count):

@@ -28,6 +28,8 @@ def parse_preset(text: str) -> tuple[str, tuple[float, ...]]:
             args = tuple(float(piece) for piece in argtext.split(","))
         except ValueError as exc:
             raise ConfigError(f"bad ic preset arguments in {text!r}: {exc}") from None
+        if not np.isfinite(args).all():
+            raise ConfigError(f"non-finite ic preset argument in {text!r}")
     return name, args
 
 

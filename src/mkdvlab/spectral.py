@@ -156,12 +156,6 @@ def synthesis(coeffs: np.ndarray, mode_cap: int, num_points: int) -> np.ndarray:
     return sfft.ifft(spread, overwrite_x=True) * num_points
 
 
-def analysis(samples: np.ndarray, mode_cap: int) -> np.ndarray:
-    """Samples -> coefficient array for |n| <= mode_cap, along the last axis."""
-    _require_resolving(samples.shape[-1], mode_cap, "analysis")
-    return _gather_modes(sfft.fft(samples), mode_cap) / samples.shape[-1]
-
-
 def to_physical(state: FourierState, num_points: int) -> GridFunction:
     """Evaluate the state on the K-point grid; exact for K >= 2M+1."""
     _require_resolving(num_points, state.mode_cap, "to_physical")
@@ -184,14 +178,6 @@ def project_high(state: FourierState, cutoff: int) -> FourierState:
     return state.with_(coeffs=np.where(mask, state.coeffs, 0.0))
 
 
-def derivative(state: FourierState, order: int = 1) -> FourierState:
-    """Spatial derivative: multiply mode n by (in)^order."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    factors = (1j * state.modes.astype(np.float64)) ** order
-    return state.with_(coeffs=factors * state.coeffs)
-
-
 def padded_grid_size(mode_cap: int) -> int:
     """Grid length used for alias-free cubic products.
 
@@ -201,20 +187,3 @@ def padded_grid_size(mode_cap: int) -> int:
     K >= 4M+1.  Rounded up to an FFT-friendly length.
     """
     return int(sfft.next_fast_len(4 * mode_cap + 1, real=False))
-
-
-def dealiased_triple_product(
-    a: FourierState, b: FourierState, c: FourierState
-) -> FourierState:
-    """Modes |n| <= M of the pointwise product a*b*c, alias-free.
-
-    All three factors must share one mode_cap; the result is truncated to
-    the same cap and keeps ``a``'s time stamp.
-    """
-    if not (a.mode_cap == b.mode_cap == c.mode_cap):
-        raise ValueError("triple product requires matching mode caps")
-    cap = a.mode_cap
-    pa, pb, pc = synthesis(
-        np.stack((a.coeffs, b.coeffs, c.coeffs)), cap, padded_grid_size(cap)
-    )
-    return FourierState(analysis(pa * pb * pc, cap), cap, a.time)

@@ -22,7 +22,7 @@ from mkdvlab.dynamics import (
     step,
 )
 from mkdvlab.errors import SolverAbort, StabilityWarning
-from mkdvlab.norms import mass, momentum
+from mkdvlab.norms import NormSpec, fl_norm, mass, momentum
 from mkdvlab.presets import preset_state
 from mkdvlab.spectral import state_from_modes
 
@@ -272,6 +272,17 @@ def test_batch_members_match_solo_bitwise():
         assert_same_trajectory(got, solve(state, equation, 1e-3, 0.05, 10))
 
 
+def test_large_batch_members_match_solo_bitwise():
+    # the (64, 264) padded product stack is 264 KiB, past the 256 KiB from
+    # which numpy reuses temporaries in place
+    base = preset_state(64, "random_smooth:1.2,7")
+    states = [base.with_(coeffs=base.coeffs * (1.0 + 0.01 * b)) for b in range(64)]
+    equation = EquationSpec("mkdv2", 1)
+    batch = solve_many(states, [equation] * 64, 1e-4, 3e-4, 1)
+    for got, state in zip(batch, states):
+        assert_same_trajectory(got, solve(state, equation, 1e-4, 3e-4, 1))
+
+
 def test_batch_abort_leaves_neighbours_unchanged():
     # at the shared dt, amplitude 35.6 blows up in step 3 and the NaN state
     # is non-finite at step 1; their neighbours run to the end
@@ -335,6 +346,19 @@ def test_residual_quadratic_in_dt():
         maxima.append(max(v for _, v in residual_check(traj)))
     ratio = maxima[0] / maxima[1]
     assert 3.5 < ratio < 4.5
+
+
+def test_residual_stack_matches_per_slice_formula():
+    # 79 interior slices: a 326 KiB padded product stack
+    traj = solve(preset_state(64, "random_smooth:1.2,3"), EquationSpec("mkdv2", 1),
+                 1e-4, 0.008)
+    dissipation = (1j * traj.initial.modes.astype(np.float64)) ** 3
+    expected = []
+    for before, mid, after in zip(traj.states, traj.states[1:], traj.states[2:]):
+        diff = (after.coeffs - before.coeffs) / (2.0 * traj.dt)
+        resid = diff + dissipation * mid.coeffs - nonlinearity(mid, traj.equation).coeffs
+        expected.append((mid.time, fl_norm(mid.with_(coeffs=resid), NormSpec(0.0, 2.0))))
+    assert residual_check(traj) == tuple(expected)
 
 
 def test_residual_validation():

@@ -276,6 +276,12 @@ def test_cli_exit_codes(tmp_path, capsys):
         shutil.copytree(tmp_path / "d", tmp_path / name)
         (tmp_path / name / "manifest.json").write_text(
             json.dumps({**manifest, "metadata": metadata}))
+    # a non-finite or non-positive step and a non-finite start time
+    bad_times = (("k", "dt", float("nan")), ("l", "dt", -0.001), ("m", "t0", float("inf")))
+    for name, field, value in bad_times:
+        shutil.copytree(tmp_path / "d", tmp_path / name)
+        (tmp_path / name / "manifest.json").write_text(
+            json.dumps({**manifest, field: value}))
     del manifest["dt"]
     (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
     state_path = tmp_path / "st.json"
@@ -290,6 +296,8 @@ def test_cli_exit_codes(tmp_path, capsys):
           "--out", str(tmp_path / "i")), tmp_path / "g" / "manifest.json", "metadata"),
         (("gauge", "--traj", str(tmp_path / "h"), "--which", "G1",
           "--out", str(tmp_path / "j")), tmp_path / "h" / "manifest.json", "metadata"),
+        *((("gauge", "--traj", str(tmp_path / name), "--out", str(tmp_path / f"{name}_out")),
+           tmp_path / name / "manifest.json", field) for name, field, _ in bad_times),
     ):
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err
@@ -297,6 +305,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert str(path) in err and f"'{field}'" in err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+    assert not any((tmp_path / f"{name}_out").exists() for name, _, _ in bad_times)
 
 
 def test_cli_names_a_malformed_state_file(tmp_path, capsys):
@@ -356,7 +365,8 @@ def test_cli_gauge_g2_and_pretty_norms(tmp_path, capsys):
 
 
 # (argv, part of the error): each is refused with exit code 1; {tmp} is the
-# test's directory, where eq.cfg holds the line "=3"
+# test's directory, where eq.cfg holds the line "=3", invert.cfg the line
+# "invert = treu", which.cfg the line "which = G1", and g1 a G1 trajectory
 REJECTED = [
     (("experiment", "multiplier_probe", "--set", "radii", "--out", "{tmp}/o"),
      "config error: --set expects key=value, got 'radii'"),
@@ -371,12 +381,30 @@ REJECTED = [
      "gaussian_bump width must be positive"),
     (("solve", "--ic", "random_smooth:1.5,-1", "--out", "{tmp}/o"),
      "random_smooth seed must be a nonnegative integer"),
+    (("solve", "--ic", "gaussian_bump:1,nan", "--out", "{tmp}/o"),
+     "config error: non-finite ic preset argument in 'gaussian_bump:1,nan'"),
+    (("gauge", "--traj", "{tmp}/g1", "--invert", "--which", "G2", "--sign", "-1",
+      "--out", "{tmp}/o"),
+     "config error: 'invert' undoes the recorded gauge; drop 'which' and 'sign'"),
+    (("gauge", "--config", "{tmp}/which.cfg", "--traj", "{tmp}/g1", "--invert",
+      "--out", "{tmp}/o"),
+     "config error: 'invert' undoes the recorded gauge; drop 'which' and 'sign'"),
+    (("gauge", "--config", "{tmp}/invert.cfg", "--traj", "{tmp}/g1", "--out", "{tmp}/o"),
+     "config error: 'invert' must be one of true, 1, yes, false, 0, no, got 'treu'"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", REJECTED)
 def test_cli_rejections_exit_one(tmp_path, capsys, argv, message):
     (tmp_path / "eq.cfg").write_text("=3\n")
+    (tmp_path / "invert.cfg").write_text("invert = treu\n")
+    (tmp_path / "which.cfg").write_text("which = G1\n")
+    if "{tmp}/g1" in argv:
+        solved = str(tmp_path / "s")
+        assert run_cli("solve", "--modes", "4", "--ic", "random_smooth:1.5,0",
+                       "--T", "0.0003", "--out", solved) == 0
+        assert run_cli("gauge", "--traj", solved, "--out", str(tmp_path / "g1")) == 0
+        capsys.readouterr()
     assert run_cli(*(arg.format(tmp=tmp_path) for arg in argv)) == 1
     err = capsys.readouterr().err
     assert message in err
@@ -389,6 +417,8 @@ def test_cli_norms_rejects_exponent_below_one(tmp_path, capsys):
     state_path.write_text(state_to_csv_text(preset_state(6, "plane_wave:5,1,0.5")))
     assert run_cli("norms", "--state", str(state_path), "--p", "inf,0.5") == 1
     assert "config error: 'p' must be at least 1" in capsys.readouterr().err
+    assert run_cli("norms", "--state", str(state_path), "--s", "nan,inf") == 1
+    assert "config error: 's' must be finite, got nan" in capsys.readouterr().err
 
 
 def _assert_refused(argv, out, capsys):

@@ -1,16 +1,13 @@
-"""Transforms, projections, and the dealiased product against direct quadrature."""
+"""Transforms and projections against direct quadrature."""
 
 import numpy as np
 import pytest
 
-from conftest import oracle_analysis, oracle_cubic, oracle_synthesis, random_state
+from conftest import oracle_synthesis, random_state
 from mkdvlab.errors import AliasingError
 from mkdvlab.spectral import (
     FourierState,
-    analysis,
     conjugate_state,
-    dealiased_triple_product,
-    derivative,
     padded_grid_size,
     project_high,
     project_low,
@@ -52,18 +49,12 @@ def test_transforms_match_direct_quadrature():
         grid = to_physical(state, num)
         direct = oracle_synthesis(state, num)
         assert np.max(np.abs(grid.samples - direct)) < 1e-12
-        back = analysis(grid.samples, state.mode_cap)
-        assert np.max(np.abs(back - state.coeffs)) < 1e-13
-        assert np.max(np.abs(back - oracle_analysis(grid.samples, 9))) < 1e-13
 
 
 def test_transform_requires_resolving_grid():
     state = random_state(8, seed=0)
     with pytest.raises(AliasingError):
         to_physical(state, 16)  # needs 2M+1 = 17
-    grid = to_physical(state, 17)
-    with pytest.raises(AliasingError):
-        analysis(grid.samples, 9)
 
 
 def test_raw_transforms_require_resolving_grid():
@@ -71,8 +62,6 @@ def test_raw_transforms_require_resolving_grid():
     state = random_state(8, seed=0)
     with pytest.raises(AliasingError):
         synthesis(state.coeffs, 8, 16)
-    with pytest.raises(AliasingError):
-        analysis(np.zeros(16, dtype=np.complex128), 8)
 
 
 def test_synthesis_of_a_stack_is_rowwise():
@@ -80,9 +69,6 @@ def test_synthesis_of_a_stack_is_rowwise():
     stacked = synthesis(np.stack(rows), 5, 11)
     for row, samples in zip(rows, stacked):
         assert samples.tobytes() == synthesis(row, 5, 11).tobytes()
-    back = analysis(stacked, 5)
-    for row, coeffs in zip(stacked, back):
-        assert coeffs.tobytes() == analysis(row, 5).tobytes()
 
 
 def test_conjugate_state_is_physical_conjugate():
@@ -116,40 +102,7 @@ def test_projection_validation():
         project_high(state, -1)
 
 
-def test_derivative_is_mode_multiplication():
-    state = random_state(7, seed=8)
-    first = derivative(state)
-    assert np.max(np.abs(first.coeffs - 1j * state.modes * state.coeffs)) == 0
-    third = derivative(state, order=3)
-    expected = (1j * state.modes.astype(float)) ** 3 * state.coeffs
-    assert np.max(np.abs(third.coeffs - expected)) < 1e-15
-
-
 def test_padded_grid_resolves_cubic():
     for cap in (1, 4, 16, 100, 512):
         assert padded_grid_size(cap) >= 4 * cap + 1
 
-
-def test_triple_product_matches_quadrature_oracle():
-    # |u|^2 u_x written as u * conj(u) * u_x through the public product
-    for seed in (0, 7, 21):
-        state = random_state(12, seed=seed)
-        product = dealiased_triple_product(
-            state, conjugate_state(state), derivative(state)
-        )
-        assert np.max(np.abs(product.coeffs - oracle_cubic(state))) < 1e-12
-
-
-def test_triple_product_requires_matching_caps():
-    with pytest.raises(ValueError):
-        dealiased_triple_product(
-            random_state(4, seed=0), random_state(5, seed=0), random_state(4, seed=0)
-        )
-
-
-def test_triple_product_has_no_wraparound():
-    # single mode at the cap: cube lands on 3M, outside the band entirely
-    cap = 5
-    state = state_from_modes(cap, {cap: 1.0})
-    cube = dealiased_triple_product(state, state, state)
-    assert np.max(np.abs(cube.coeffs)) < 1e-14
