@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import sys
 import warnings
 from typing import Sequence
 
@@ -422,6 +424,82 @@ def solve(
     ``solve_many`` with one member.
     """
     return raise_first_abort(solve_many((state,), (equation,), dt, horizon, save_every))[0]
+
+
+def _solve_each(jobs: Sequence[tuple]) -> list[Trajectory]:
+    """``[solve(*job) for job in jobs]``, on one forked worker per available CPU.
+
+    Uses min(len(jobs), CPUs in this process's affinity mask) workers, and
+    runs the plain loop when that is 1, where CPU affinity or the fork
+    start method does not exist, or when another thread is running, which
+    fork is not safe with.  Workers are forked, not spawned: a spawned one
+    would import numpy and scipy again, which takes about as long as a
+    short solve.  The longest jobs (steps x padded grid length) are handed
+    out first; results come back in job order, bitwise the loop's.  Each job's
+    warnings are issued again here, in job order, from their own source
+    lines.  When jobs raise, the lowest-index job's exception is raised
+    after the warnings of the jobs before it, as the loop would raise it
+    (without the worker's traceback).
+    """
+    jobs = list(jobs)
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    workers = min(len(jobs), len(getaffinity(0))) if getaffinity else 1
+    if workers > 1:
+        import multiprocessing
+        import threading
+
+        forkable = "fork" in multiprocessing.get_all_start_methods()
+        if not forkable or threading.active_count() > 1:
+            workers = 1
+    if workers <= 1:
+        return [solve(*job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+
+    def cost(job) -> float:
+        state, _, dt, horizon = job[:4]
+        return horizon / dt * padded_grid_size(state.mode_cap) if dt > 0 else 0.0
+
+    longest_first = sorted(range(len(jobs)), key=lambda i: -cost(jobs[i]))
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        futures = {i: pool.submit(_recorded_solve, jobs[i]) for i in longest_first}
+        outcomes = [futures[i].result() for i in range(len(jobs))]
+    for outcome, caught in outcomes:
+        for message, filename, lineno in caught:
+            _warn_again(message, filename, lineno)
+        if isinstance(outcome, Exception):
+            raise outcome
+    return [outcome for outcome, _ in outcomes]
+
+
+def _recorded_solve(job: tuple):
+    """Worker side of ``_solve_each``: solve's outcome and the warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = solve(*job)
+        except Exception as exc:
+            outcome = exc
+    return outcome, [(w.message, w.filename, w.lineno) for w in caught]
+
+
+def _warn_again(message: Warning, filename: str, lineno: int) -> None:
+    """Issue a worker's warning as ``warnings.warn`` at filename:lineno would.
+
+    The module that owns ``filename`` supplies the name the filters match
+    and the registry that the 'default' and 'module' actions consult.
+    """
+    owner = next(
+        (mod for mod in list(sys.modules.values())
+         if getattr(mod, "__file__", None) == filename),
+        None,
+    )
+    namespace = vars(owner) if owner is not None else {}
+    warnings.warn_explicit(
+        message, type(message), filename, lineno,
+        module=namespace.get("__name__"),
+        registry=namespace.setdefault("__warningregistry__", {}),
+    )
 
 
 def raise_first_abort(results: Sequence[Trajectory | SolverAbort]) -> list[Trajectory]:

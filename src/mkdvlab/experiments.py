@@ -29,6 +29,7 @@ from .dynamics import (
     RESONANCE_DOMAIN,
     VARIANTS,
     EquationSpec,
+    _solve_each,
     j1_multiplier_sum,
     phase_schedule,
     raise_first_abort,
@@ -548,7 +549,7 @@ def exp_nonexistence(opt) -> Findings:
 
     equation = EquationSpec("mkdv2", sign)
 
-    def run(cap, cutoff, symmetric):
+    def prepare(cap, cutoff, symmetric):
         base = preset_state(cap, f"one_sided:{fmt17(alpha)}")
         truncated = project_low(base, cutoff)
         if symmetric:
@@ -563,12 +564,20 @@ def exp_nonexistence(opt) -> Findings:
         if opt.dt_cap > 0.0:
             dt_limit = min(dt_limit, opt.dt_cap)
         dt, save_every = phase_schedule(opt.T, dt_limit, opt.save_points)
-        trajectory = solve(truncated, equation, dt, opt.T, save_every)
+        return rate, (truncated, equation, dt, opt.T, save_every)
+
+    def finish(trajectory, rate):
         u_states = invert_gauge(trajectory, GaugeSpec("G2", sign, rate)).states
         pairing = _window_pairing(u_states, opt.T, opt.pairing_mode)
         return trajectory, u_states, rate, pairing
 
-    main_runs = [run(opt.modes, N, False) for N in schedule]
+    # every cutoff, main and control, is an independent solve
+    prepared = [prepare(opt.modes, N, False) for N in schedule] + [
+        prepare(opt.control_modes, N, True) for N in control_schedule
+    ]
+    trajectories = _solve_each([job for _, job in prepared])
+    runs = [finish(traj, rate) for traj, (rate, _) in zip(trajectories, prepared)]
+    main_runs, control_runs = runs[: len(schedule)], runs[len(schedule) :]
 
     v_gaps = []
     u_gaps = []
@@ -598,7 +607,6 @@ def exp_nonexistence(opt) -> Findings:
         for (_, _, rate, _), N in zip(main_runs, schedule)
     )
 
-    control_runs = [run(opt.control_modes, N, True) for N in control_schedule]
     control_mom_max = max(abs(rate) for _, _, rate, _ in control_runs)
     control_gauge_gap = max(
         max(_fl_gaps(traj.states, u_states, u_spec))

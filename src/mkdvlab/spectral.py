@@ -54,6 +54,10 @@ class FourierState:
         object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "time", float(self.time))
 
+    def __reduce__(self):
+        # through the constructor, so an unpickled state is read-only too
+        return FourierState, (self.coeffs, self.mode_cap, self.time)
+
     @property
     def modes(self) -> np.ndarray:
         """Mode numbers -M..M aligned with ``coeffs``."""

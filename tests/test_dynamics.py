@@ -1,6 +1,9 @@
 """Resonance algebra, nonlinearity decomposition, integrator, multiplier sums."""
 
+import concurrent.futures
 import math
+import os
+import pickle
 import warnings
 
 import numpy as np
@@ -10,6 +13,7 @@ from conftest import oracle_cubic, random_state
 from mkdvlab.dynamics import (
     EquationSpec,
     Trajectory,
+    _solve_each,
     decompose_nonlinearity,
     j1_multiplier_sum,
     nonlinearity,
@@ -333,6 +337,114 @@ def test_solve_many_validation():
         solve_many([state, preset_state(5, "plane_wave:1,0.5,0")], [eq, eq], 1e-3, 0.01)
     with pytest.raises(ValueError):
         solve_many([state], [eq], 3e-3, 0.01)
+
+
+# ------------------------------------------------------ independent solves
+
+def use_cpus(monkeypatch, count):
+    """Make _solve_each see ``count`` CPUs: 1 takes the serial loop."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def solve_each_recorded(jobs):
+    """_solve_each's results or exception, and the warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = _solve_each(jobs)
+        except SolverAbort as abort:
+            outcome = abort
+    return outcome, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+def test_pickled_state_and_abort_stay_frozen():
+    state = preset_state(8, "random_smooth:1.2,3").with_(time=0.5)
+    back = pickle.loads(pickle.dumps(state))
+    assert not back.coeffs.flags.writeable
+    assert back.coeffs.tobytes() == state.coeffs.tobytes()
+    assert (back.mode_cap, back.time) == (state.mode_cap, state.time)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        abort = solo(preset_state(8, "plane_wave:1,40,0"), EquationSpec("mkdv", 1),
+                     0.1, 1.0, 1)
+    back = pickle.loads(pickle.dumps(abort))
+    assert type(back) is SolverAbort
+    assert back.diagnostic == abort.diagnostic
+    assert_same_outcome(back, abort)
+    assert not any(st.coeffs.flags.writeable for st in back.partial.states)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_solve_each_returns_solo_results_in_job_order(monkeypatch, cpus):
+    use_cpus(monkeypatch, cpus)
+    pools = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            pools.append(workers)
+            super().__init__(workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    # the costs run short, long, medium: workers take them out of order
+    jobs = [
+        (preset_state(8, "random_smooth:1.2,1"), EquationSpec("mkdv", 1), 1e-3, 0.01, 5),
+        (preset_state(32, "random_smooth:1.2,2"), EquationSpec("mkdv2", -1), 5e-4, 0.02, 8),
+        (preset_state(16, "random_smooth:1.2,3").with_(time=0.25),
+         EquationSpec("mkdv1", 1), 1e-3, 0.03, 10),
+    ]
+    got = _solve_each(jobs)
+    assert pools == ([] if cpus == 1 else [3])
+    assert len(got) == len(jobs)
+    for trajectory, job in zip(got, jobs):
+        assert_same_trajectory(trajectory, solve(*job))
+        assert not trajectory.final.coeffs.flags.writeable
+
+
+def test_solve_each_warns_in_job_order_on_every_path(monkeypatch):
+    calm = preset_state(8, "plane_wave:2,0.1,0")
+    loud = [preset_state(8, f"plane_wave:2,{amp},0") for amp in (3, 4)]
+    dt = 2 * stability_dt_limit(loud[0])
+    jobs = [(state, EquationSpec("mkdv", 1), dt, 4 * dt) for state in (loud[1], calm, loud[0])]
+    use_cpus(monkeypatch, 1)
+    serial = solve_each_recorded(jobs)
+    use_cpus(monkeypatch, 3)
+    forked = solve_each_recorded(jobs)
+    assert [message for _, message, _, _ in serial[1]] == [
+        f"dt = {dt:g} exceeds the stability heuristic 0.5/(M max|u|^2 + 1) = "
+        f"{stability_dt_limit(state):g}" for state in (loud[1], loud[0])
+    ]
+    assert forked[1] == serial[1]
+    for got, want in zip(forked[0], serial[0]):
+        assert_same_trajectory(got, want)
+
+
+def test_solve_each_raises_the_lowest_index_abort(monkeypatch):
+    # jobs 1 and 2 abort; job 2, the costlier, is dispatched first; job 3
+    # warns, but the serial loop never reaches it
+    base = preset_state(16, "random_smooth:1.2,7")
+    nan_state = preset_state(32, "random_smooth:1.2,7")
+    nan_state = nan_state.with_(coeffs=np.full_like(nan_state.coeffs, np.nan))
+    loud = preset_state(8, "plane_wave:2,4,0")
+    jobs = [
+        (base, EquationSpec("mkdv2", 1), 1e-3, 0.01, 1),
+        (base.with_(coeffs=base.coeffs * 35.6), EquationSpec("mkdv", 1), 1e-3, 0.01, 1),
+        (nan_state, EquationSpec("mkdv1", -1), 1e-3, 0.01, 1),
+        (loud, EquationSpec("mkdv", 1), 2 * stability_dt_limit(loud),
+         8 * stability_dt_limit(loud), 1),
+    ]
+    use_cpus(monkeypatch, 1)
+    serial = solve_each_recorded(jobs)
+    use_cpus(monkeypatch, 4)
+    forked = solve_each_recorded(jobs)
+    assert isinstance(serial[0], SolverAbort)
+    assert "mass drifted" in str(serial[0]) and len(serial[0].partial) == 3
+    assert_same_outcome(forked[0], serial[0])
+    assert forked[1] == serial[1]
+    assert [message for _, message, _, _ in serial[1]] == [
+        "dt = 0.001 exceeds the stability heuristic 0.5/(M max|u|^2 + 1) = "
+        f"{stability_dt_limit(jobs[1][0]):g}"
+    ]
 
 
 # ------------------------------------------------- propagator and residual

@@ -1,6 +1,7 @@
 """Experiment harness: config plumbing, verdicts, determinism, cheap smoke runs."""
 
 import hashlib
+import os
 import warnings
 
 import numpy as np
@@ -369,17 +370,18 @@ def test_multiplier_probe_validates_radii():
         run_experiment("multiplier_probe", {"n_list": "0,1048577"})
 
 
+#: the reduced nonexistence config of tools/golden.py
+REDUCED_NONEXISTENCE = {
+    "modes": "32", "schedule": "8,16", "T": "0.2", "save_points": "20",
+    "control_modes": "16", "control_schedule": "8,16",
+    "mom_schedule": "8,16,32,64,128",
+}
+
+
 def test_nonexistence_reduced_smoke():
     # far below the asymptotic regime; checks structure and the controls,
     # not the mechanism verdicts (the full run lives in the acceptance gate)
-    report = run_experiment(
-        "nonexistence",
-        {
-            "modes": "32", "schedule": "8,16", "T": "0.2", "save_points": "20",
-            "control_modes": "16", "control_schedule": "8,16",
-            "mom_schedule": "8,16,32,64,128",
-        },
-    )
+    report = run_experiment("nonexistence", REDUCED_NONEXISTENCE)
     names = {v.name for v in report.verdicts}
     assert names == {
         "v_cauchy_shrinks", "u_separation_persists", "pairing_decays",
@@ -407,10 +409,18 @@ def test_nonexistence_schedule_validation():
         with pytest.raises(ConfigError, match="pairing_mode"):
             run_experiment("nonexistence", {"pairing_mode": mode})
     # a negative cutoff is rejected up front, naming its key
-    reduced = {"modes": "32", "schedule": "8,16", "T": "0.2", "save_points": "20",
-               "control_modes": "16", "control_schedule": "8,16",
-               "mom_schedule": "8,16,32,64,128"}
     for key, cutoffs in (("schedule", "-4,16"), ("mom_schedule", "-1,8,16,32,64"),
                          ("control_schedule", "-8,16")):
         with pytest.raises(ConfigError, match=f"'{key}'"):
-            run_experiment("nonexistence", {**reduced, key: cutoffs})
+            run_experiment("nonexistence", {**REDUCED_NONEXISTENCE, key: cutoffs})
+
+
+def test_nonexistence_report_same_on_one_cpu(monkeypatch):
+    # the cutoff solves run on two forked workers, then serially on one CPU
+    reports = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                            raising=False)
+        reports.append(canonical_json(run_experiment(
+            "nonexistence", REDUCED_NONEXISTENCE).to_dict()))
+    assert reports[0] == reports[1]

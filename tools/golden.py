@@ -6,7 +6,8 @@ SRC is the package source directory of a checkout (its ``src``); it goes
 first on sys.path.  OUT must not exist yet.  Each command runs in process
 through ``mkdvlab.cli.main`` with OUT as the working directory, and
 OUT/<command>.txt records its exit code, stdout and stderr with SRC replaced
-by ``<src>``.
+by ``<src>``.  Warnings are recorded as category and message only, so a
+moved source line does not show as a difference.
 Run it on two checkouts and compare the two OUT trees with ``diff -r``.
 """
 
@@ -15,6 +16,7 @@ import io
 import os
 import pathlib
 import sys
+import warnings
 
 REDUCED = ("modes=32 schedule=8,16 T=0.2 save_points=20 control_modes=16 "
            "control_schedule=8,16 mom_schedule=8,16,32,64,128").split()
@@ -43,6 +45,12 @@ COMMANDS = [experiment(name, "") for name in NAMES] + [
               "--out norms.json".split()),
 ]
 
+
+def show_warning(message, category, *_):
+    """Write category and message only; the source line moves between checkouts."""
+    sys.stderr.write(f"{category.__name__}: {message}\n")
+
+
 if __name__ == "__main__":
     src, out = (str(pathlib.Path(arg).resolve()) for arg in sys.argv[1:3])
     sys.path.insert(0, src)
@@ -53,6 +61,7 @@ if __name__ == "__main__":
         sys.exit(f"{out} already exists; give a fresh OUT directory")
     os.makedirs(out)
     os.chdir(out)
+    warnings.showwarning = show_warning
     for name, argv in COMMANDS:
         stdout, stderr, code = io.StringIO(), io.StringIO(), 0
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
