@@ -325,9 +325,11 @@ def j1_multiplier_sum(n: int, s: float, p: float, radius: int) -> float:
             float(np.max(a[i : i + block, None] * a * hankel[i : i + block]))
             for i in range(0, k.size, block)
         )
+    # np.add.reduce, not BLAS: a threaded dot sums in an order that depends
+    # on the BLAS thread count
     size = sfft.next_fast_len(m.size, real=True)
     spectrum = sfft.rfft(a, size)
-    total = float(c @ sfft.irfft(spectrum * spectrum, size)[: m.size])
+    total = float(np.add.reduce(c * sfft.irfft(spectrum * spectrum, size)[: m.size]))
     # The FFT's rounding is normwise, eps log2(size) |a|_1 |a|_2 |c|_2, which
     # overstates the observed error 30-fold or more.  When s < 1/2 and p is
     # near 1, c grows where a * a is tiny and that error swamps the sum; the
@@ -340,7 +342,7 @@ def j1_multiplier_sum(n: int, s: float, p: float, radius: int) -> float:
         * np.linalg.norm(c)
     )
     if not estimate <= J1_FFT_TOLERANCE * total:
-        total = float(c @ np.convolve(a, a))
+        total = float(np.add.reduce(c * np.convolve(a, a)))
     return total
 
 

@@ -861,9 +861,10 @@ def exp_random_momentum(opt) -> Findings:
         g_minus = rng.standard_normal((take, n_max, 2))
         if first_draw is None:
             first_draw = (g_plus[0].copy(), g_minus[0].copy())
-        chunks.append(
-            ((g_plus**2).sum(axis=2) - (g_minus**2).sum(axis=2)) @ inv_n
-        )
+        # a reduction, not BLAS's matrix-vector product, whose summation
+        # order depends on the BLAS thread count
+        weights = (g_plus**2).sum(axis=2) - (g_minus**2).sum(axis=2)
+        chunks.append(np.add.reduce(weights * inv_n, axis=1))
         remaining -= take
     momenta = np.concatenate(chunks)
 

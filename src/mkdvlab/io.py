@@ -8,6 +8,7 @@ yield identical bytes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import pathlib
@@ -75,14 +76,68 @@ def _write_json(obj, out: list[str], depth: int) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
+@functools.lru_cache(maxsize=64)
+def _csv_template(cap: int) -> str:
+    """A state CSV for mode cap ``cap`` with ``%.17g`` (fmt17's form) for each value."""
+    return "n,re,im\n" + "".join(f"{n},%.17g,%.17g\n" for n in range(-cap, cap + 1))
+
+
 def state_to_csv_text(state: FourierState) -> str:
-    lines = ["n,re,im"]
-    for n, value in zip(state.modes, state.coeffs):
-        lines.append(f"{int(n)},{fmt17(value.real)},{fmt17(value.imag)}")
-    return "\n".join(lines) + "\n"
+    """Header ``n,re,im``, then one ``n,re,im`` row per mode -M..M, each value fmt17."""
+    return _csv_template(state.mode_cap) % tuple(state.coeffs.view(np.float64).tolist())
+
+
+@functools.lru_cache(maxsize=64)
+def _csv_mode_cells(cap: int) -> tuple[str, ...]:
+    """Every third cell of a canonical CSV body split as in ``_canonical_csv``."""
+    return (str(-cap), *(f"\n{n}" for n in range(1 - cap, cap + 1)), "\n")
+
+
+# the ASCII characters besides "\n" at which str.splitlines breaks a line
+# (isascii() rules out the others); text holding one goes to the line reader
+_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+
+
+def _canonical_csv(text: str):
+    """``(coeffs, cap)`` of a CSV laid out exactly as the writer lays it out, else None.
+
+    Only the numbers may differ from the writer's text.  Each goes through
+    ``float`` as in the line reader, and all must be finite: with a NaN the
+    sign bit of ``re + 1j * im`` depends on operand order.  So any text
+    accepted here gives the line reader's state bit for bit.
+    """
+    if not (text.startswith("n,re,im\n") and text.isascii()):
+        return None
+    if any(ch in text for ch in _LINE_BREAKS):
+        return None
+    body = text[8:]
+    # each line break becomes ",\n", so cell 3k holds row k's mode after a "\n"
+    cells = body.replace("\n", ",\n").split(",")
+    rows, rest = divmod(len(cells), 3)
+    if rest != 1 or rows % 2 == 0 or body.count("\n") != rows:
+        return None
+    cap = rows // 2
+    if tuple(cells[::3]) != _csv_mode_cells(cap):
+        return None
+    try:
+        values = np.array([cells[1::3], cells[2::3]], dtype=np.float64)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values[0] + 1j * values[1], cap
 
 
 def state_from_csv_text(text: str, time: float = 0.0, source="state CSV") -> FourierState:
+    canonical = _canonical_csv(text)
+    if canonical is None:
+        return _state_from_csv_lines(text, time, source)
+    coeffs, cap = canonical
+    return FourierState(coeffs, cap, time)
+
+
+def _state_from_csv_lines(text: str, time: float, source) -> FourierState:
+    """Line by line: any row order, blank lines, CRLF; names the first bad line."""
     rows: dict[int, complex] = {}
     lines = [(no, line.strip()) for no, line in enumerate(text.splitlines(), 1)
              if line.strip()]
@@ -136,10 +191,18 @@ def _field(payload: dict, key: str, convert, source):
         raise ValueError(f"{source}: missing or malformed field {key!r}") from None
 
 
-def _count(value) -> int:
-    if int(value) < 0:
-        raise ValueError(f"negative count {value!r}")
+def _integer(value) -> int:
+    """``int(value)``, refusing booleans and numbers with a fractional part."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def _count(value) -> int:
+    count = _integer(value)
+    if count < 0:
+        raise ValueError(f"negative count {value!r}")
+    return count
 
 
 def _finite(value, low=-math.inf) -> float:
@@ -153,11 +216,15 @@ def state_from_json_text(text: str, source="JSON state") -> FourierState:
     cap = _field(payload, "mode_cap", _count, source)
     coeffs = np.zeros(2 * cap + 1, dtype=np.complex128)
     rows = _field(payload, "coeffs", lambda rows: [
-        (int(n), float(re) + 1j * float(im)) for n, re, im in rows
+        (_integer(n), float(re) + 1j * float(im)) for n, re, im in rows
     ], source)
+    seen = set()
     for n, value in rows:
         if abs(n) > cap:
             raise ValueError(f"{source}: mode {n} exceeds mode_cap {cap}")
+        if n in seen:
+            raise ValueError(f"{source}: field 'coeffs' lists mode {n} twice")
+        seen.add(n)
         coeffs[n + cap] = value
     return FourierState(coeffs, cap, _field(payload, "time", float, source))
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mkdvlab
+import mkdvlab.io
 from conftest import random_state
 from mkdvlab.cli import main
 from mkdvlab.dynamics import EquationSpec, solve
@@ -26,6 +27,7 @@ from mkdvlab.io import (
     trajectory_to_dir,
 )
 from mkdvlab.presets import preset_state
+from mkdvlab.spectral import FourierState
 
 
 def run_cli(*args):
@@ -90,6 +92,33 @@ def test_state_csv_validation():
     # duplicate mode
     with pytest.raises(ValueError):
         state_from_csv_text("n,re,im\n0,1,0\n0,2,0\n")
+
+
+def per_row_csv_text(state):
+    """The state CSV as one f-string per row, the writer's reference layout."""
+    lines = ["n,re,im"]
+    for n, value in zip(state.modes, state.coeffs):
+        lines.append(f"{int(n)},{fmt17(value.real)},{fmt17(value.imag)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_state_csv_text_matches_per_row_writer():
+    edges = [0.0, -0.0, 5e-324, -1e308, np.inf, -np.inf, np.nan, 1 / 3, -2.5e-17, 126.0]
+    for cap in (0, 1, 7, 64, 200):
+        parts = np.random.default_rng(cap).standard_normal(2 * (2 * cap + 1))
+        parts[: len(edges)] = edges[: parts.size]
+        state = FourierState(parts.view(np.complex128), cap)
+        assert state_to_csv_text(state) == per_row_csv_text(state)
+
+
+def test_state_csv_written_text_skips_the_line_reader(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the writer's own layout went to the line reader")
+
+    state = random_state(64, seed=3)
+    text = state_to_csv_text(state)
+    monkeypatch.setattr(mkdvlab.io, "_state_from_csv_lines", refuse)
+    assert np.array_equal(state_from_csv_text(text).coeffs, state.coeffs)
 
 
 def test_state_json_round_trip_exact():
@@ -276,8 +305,10 @@ def test_cli_exit_codes(tmp_path, capsys):
         shutil.copytree(tmp_path / "d", tmp_path / name)
         (tmp_path / name / "manifest.json").write_text(
             json.dumps({**manifest, "metadata": metadata}))
-    # a non-finite or non-positive step and a non-finite start time
-    bad_times = (("k", "dt", float("nan")), ("l", "dt", -0.001), ("m", "t0", float("inf")))
+    # a non-finite or non-positive step, a non-finite start time and state
+    # counts that are not integers
+    bad_times = (("k", "dt", float("nan")), ("l", "dt", -0.001), ("m", "t0", float("inf")),
+                 ("n", "num_states", 3.7), ("o", "num_states", True))
     for name, field, value in bad_times:
         shutil.copytree(tmp_path / "d", tmp_path / name)
         (tmp_path / name / "manifest.json").write_text(
@@ -286,6 +317,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
     state_path = tmp_path / "st.json"
     payload = json.loads(state_to_json_text(preset_state(4, "plane_wave:2,1,0")))
+    # JSON states with a fractional or boolean mode_cap, a fractional mode and
+    # a repeated mode
+    bad_states = []
+    for name, field, change in (
+        ("cap_frac", "mode_cap", {"mode_cap": 4.5}),
+        ("cap_bool", "mode_cap", {"mode_cap": True}),
+        ("mode_frac", "coeffs", {"coeffs": [[1.6, 1.0, 0.0]]}),
+        ("mode_twice", "coeffs", {"coeffs": [[2, 1.0, 0.0], [2, 0.5, 0.0]]}),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**payload, **change}))
+        bad_states.append((("norms", "--state", str(path)), path, field))
     del payload["mode_cap"]
     state_path.write_text(json.dumps(payload))
     for argv, path, field in (
@@ -298,6 +341,7 @@ def test_cli_exit_codes(tmp_path, capsys):
           "--out", str(tmp_path / "j")), tmp_path / "h" / "manifest.json", "metadata"),
         *((("gauge", "--traj", str(tmp_path / name), "--out", str(tmp_path / f"{name}_out")),
            tmp_path / name / "manifest.json", field) for name, field, _ in bad_times),
+        *bad_states,
     ):
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err

@@ -17,7 +17,7 @@ from mkdvlab.dynamics import (
     solve_many,
 )
 from mkdvlab.errors import SolverAbort
-from mkdvlab.io import state_from_csv_text, state_to_csv_text
+from mkdvlab.io import _state_from_csv_lines, state_from_csv_text, state_to_csv_text
 from mkdvlab.norms import NormSpec, fl_norm, mass, momentum
 from mkdvlab.spectral import (
     FourierState,
@@ -116,11 +116,120 @@ def test_cubic_homogeneity(state, magnitude, angle):
     assert np.allclose(scaled.coeffs, expected, rtol=1e-10, atol=1e-12)
 
 
-@given(states(max_cap=8))
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+               math.inf, -math.inf, math.nan)
+edge_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64))
+
+
+@st.composite
+def edge_states(draw, max_cap=40):
+    """States whose parts mix edge values in, with their exact bits kept."""
+    cap = draw(st.integers(min_value=0, max_value=max_cap))
+    size = 2 * cap + 1
+    parts = draw(st.lists(edge_floats, min_size=2 * size, max_size=2 * size))
+    return FourierState(np.array(parts).view(np.complex128), cap)
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.complex128).tobytes()
+
+
+@given(edge_states())
 def test_state_csv_round_trip(state):
-    back = state_from_csv_text(state_to_csv_text(state))
-    assert back.mode_cap == state.mode_cap
-    assert np.array_equal(back.coeffs, state.coeffs)
+    text = state_to_csv_text(state)
+    cells = [line.split(",") for line in text.splitlines()[1:]]
+    # every written number reads back to its own bits, sign included
+    for (_, real, imag), value in zip(cells, state.coeffs):
+        for cell, part in ((real, value.real), (imag, value.imag)):
+            if math.isnan(part):
+                assert math.isnan(float(cell))
+            else:
+                assert np.float64(float(cell)).tobytes() == np.float64(part).tobytes()
+    # and the state is built as the line reader builds it, bit for bit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = state_from_csv_text(text, 0.5)
+    expected = [float(real) + 1j * float(imag) for _, real, imag in cells]
+    assert back.mode_cap == state.mode_cap and back.time == 0.5
+    assert bits(back.coeffs) == bits(expected)
+    # that rule, float(re) + 1j * float(im), may drop the sign of a zero part
+    finite = np.isfinite(state.coeffs)
+    assert np.array_equal(back.coeffs[finite], state.coeffs[finite])
+
+
+JUNK_CELLS = ("", "abc", "1e", "--1", "0x1p3", "1_0", " 2", "+3", "-0", "nan", "-nan",
+              "inf", "1\x0c2", "7\r", "\u0662", "1;2", "4 5")
+# every character at which str.splitlines breaks a line
+LINE_BREAKS = ("\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029")
+
+
+def mutate(text: str, draw) -> str:
+    """One of the layouts the line reader accepts or names, applied to ``text``."""
+    header, *rows = text.splitlines() or [""]
+    kind = draw(st.sampled_from(("crlf", "blank", "plus", "space", "swap", "repeat",
+                                 "junk", "break", "drop", "no_newline", "header")))
+    if kind == "crlf":
+        return text.replace("\n", "\r\n")
+    if kind == "no_newline":
+        return text[:-1]
+    if kind == "header" or not rows:
+        header = draw(st.sampled_from(("N, Re, Im", "n,re", "x,y,z", " n,re,im")))
+        return "\n".join([header, *rows]) + "\n"
+    k = draw(st.integers(0, len(rows) - 1))
+    j = draw(st.integers(0, len(rows) - 1))
+    if kind == "blank":
+        rows.insert(k, draw(st.sampled_from(("", "  ", "\t"))))
+    elif kind in ("plus", "space"):
+        rows[k] = ("+" if kind == "plus" else " ") + rows[k]
+    elif kind == "swap":
+        rows[k], rows[j] = rows[j], rows[k]
+    elif kind == "repeat":
+        rows.insert(j, rows[k])
+    elif kind in ("junk", "break"):
+        cells = rows[k].split(",")
+        i = draw(st.integers(0, len(cells) - 1))
+        if kind == "junk":
+            cells[i] = draw(st.sampled_from(JUNK_CELLS))
+        else:
+            cells[i] = draw(st.sampled_from((cells[i] + "{}", "{}" + cells[i]))).format(
+                draw(st.sampled_from(LINE_BREAKS)))
+        rows[k] = ",".join(cells)
+    else:
+        del rows[k]
+    return "\n".join([header, *rows]) + "\n"
+
+
+def read_outcome(reader, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            state = reader(text, 0.25, "s.csv")
+        except ValueError as exc:
+            return type(exc), str(exc)
+    return state.mode_cap, state.time, bits(state.coeffs)
+
+
+@given(states(max_cap=6), st.data())
+@settings(max_examples=200)
+def test_state_csv_reader_matches_line_reader_on_mutated_text(state, data):
+    text = state_to_csv_text(state)
+    for _ in range(data.draw(st.integers(1, 3))):
+        text = mutate(text, data.draw)
+    assert read_outcome(state_from_csv_text, text) == read_outcome(_state_from_csv_lines, text)
+
+
+def test_state_csv_reader_matches_line_reader_at_every_line_break():
+    text = state_to_csv_text(FourierState(np.arange(5) + 0.5j, 2))
+    start = text.index("\n-1,") + 1
+    end = text.index("\n", start)
+    for ch in LINE_BREAKS:
+        # inserted before, or put in place of, each character of row -1 and
+        # of its line break
+        for at in range(start, end + 1):
+            for edited in (text[:at] + ch + text[at:], text[:at] + ch + text[at + 1:]):
+                assert (read_outcome(state_from_csv_text, edited)
+                        == read_outcome(_state_from_csv_lines, edited)), repr(edited)
 
 
 @given(
