@@ -22,13 +22,13 @@ import warnings
 from typing import Sequence
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import SolverAbort, StabilityWarning
 from .norms import NormSpec, fl_norm, japanese_bracket
 from .spectral import (
     FourierState,
     _gather_modes,
+    _next_fast_len,
     _spread_modes,
     padded_grid_size,
     synthesis,
@@ -150,6 +150,11 @@ def _rhs_builder(cap: int, equations: Sequence[EquationSpec]):
     those rows are changed.  The sign is folded into the FFT scale and the
     scalars; multiplying by -1 is exact, so that costs no rounding.
     """
+    # scipy is imported by the first stepper built, not with this module.
+    # rhs looks up sfft.fft and sfft.ifft at each call, so a wrapper set on
+    # scipy.fft (perfbench's tracer) sees every transform
+    from scipy import fft as sfft
+
     num_points = padded_grid_size(cap)
     # per-mode factors are (1, L) rows, which numpy combines with a B = 1
     # stack faster than (L,) vectors
@@ -327,9 +332,9 @@ def j1_multiplier_sum(n: int, s: float, p: float, radius: int) -> float:
         )
     # np.add.reduce, not BLAS: a threaded dot sums in an order that depends
     # on the BLAS thread count
-    size = sfft.next_fast_len(m.size, real=True)
-    spectrum = sfft.rfft(a, size)
-    total = float(np.add.reduce(c * sfft.irfft(spectrum * spectrum, size)[: m.size]))
+    size = _next_fast_len(m.size, (2, 3, 5))
+    spectrum = np.fft.rfft(a, size)
+    total = float(np.add.reduce(c * np.fft.irfft(spectrum * spectrum, size)[: m.size]))
     # The FFT's rounding is normwise, eps log2(size) |a|_1 |a|_2 |c|_2, which
     # overstates the observed error 30-fold or more.  When s < 1/2 and p is
     # near 1, c grows where a * a is tiny and that error swamps the sum; the
@@ -462,6 +467,11 @@ def _solve_each(jobs: Sequence[tuple]) -> list[Trajectory]:
         return horizon / dt * padded_grid_size(state.mode_cap) if dt > 0 else 0.0
 
     longest_first = sorted(range(len(jobs)), key=lambda i: -cost(jobs[i]))
+    # the steppers import scipy.fft when built; import it here, before the
+    # fork, so that the workers inherit it rather than each spending ~0.4 s
+    # importing it again on every call
+    import scipy.fft  # noqa: F401
+
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=context) as pool:
         futures = {i: pool.submit(_recorded_solve, jobs[i]) for i in longest_first}

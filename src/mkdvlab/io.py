@@ -101,10 +101,10 @@ _LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 def _canonical_csv(text: str):
     """``(coeffs, cap)`` of a CSV laid out exactly as the writer lays it out, else None.
 
-    Only the numbers may differ from the writer's text.  Each goes through
-    ``float`` as in the line reader, and all must be finite: with a NaN the
-    sign bit of ``re + 1j * im`` depends on operand order.  So any text
-    accepted here gives the line reader's state bit for bit.
+    Only the numbers may differ from the writer's text.  Each is parsed as
+    ``float`` parses it in the line reader, and both build each value from
+    its two parts, so any text accepted here gives the line reader's state
+    bit for bit.
     """
     if not (text.startswith("n,re,im\n") and text.isascii()):
         return None
@@ -123,9 +123,9 @@ def _canonical_csv(text: str):
         values = np.array([cells[1::3], cells[2::3]], dtype=np.float64)
     except ValueError:
         return None
-    if not np.isfinite(values).all():
-        return None
-    return values[0] + 1j * values[1], cap
+    coeffs = np.empty(2 * cap + 1, dtype=np.complex128)
+    coeffs.real, coeffs.imag = values
+    return coeffs, cap
 
 
 def state_from_csv_text(text: str, time: float = 0.0, source="state CSV") -> FourierState:
@@ -137,7 +137,11 @@ def state_from_csv_text(text: str, time: float = 0.0, source="state CSV") -> Fou
 
 
 def _state_from_csv_lines(text: str, time: float, source) -> FourierState:
-    """Line by line: any row order, blank lines, CRLF; names the first bad line."""
+    """Line by line: any row order, blank lines, CRLF; names the first bad line.
+
+    Each value is ``complex(re, im)``, which keeps both parts' bits: ``re +
+    1j * im`` would read -0+0j as 0j and 1+infj as nan+infj.
+    """
     rows: dict[int, complex] = {}
     lines = [(no, line.strip()) for no, line in enumerate(text.splitlines(), 1)
              if line.strip()]
@@ -146,7 +150,7 @@ def _state_from_csv_lines(text: str, time: float, source) -> FourierState:
     for line_no, line in lines[1:]:
         try:
             n, real, imag = line.split(",")
-            n, value = int(n), float(real) + 1j * float(imag)
+            n, value = int(n), complex(float(real), float(imag))
         except ValueError:
             raise ValueError(f"{source}:{line_no}: bad row {line!r}") from None
         if n in rows:
@@ -173,9 +177,14 @@ def state_to_json_text(state: FourierState) -> str:
     return canonical_json(payload)
 
 
+def _json_int(text: str):
+    """A JSON integer; "-0", which is how fmt17 writes -0.0, stays -0.0."""
+    return -0.0 if text == "-0" else int(text)
+
+
 def _json_object(text: str, source) -> dict:
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{source}: malformed JSON ({exc})") from None
     if not isinstance(payload, dict):
@@ -216,7 +225,7 @@ def state_from_json_text(text: str, source="JSON state") -> FourierState:
     cap = _field(payload, "mode_cap", _count, source)
     coeffs = np.zeros(2 * cap + 1, dtype=np.complex128)
     rows = _field(payload, "coeffs", lambda rows: [
-        (_integer(n), float(re) + 1j * float(im)) for n, re, im in rows
+        (_integer(n), complex(float(re), float(im))) for n, re, im in rows
     ], source)
     seen = set()
     for n, value in rows:

@@ -8,10 +8,10 @@ x_j = 2pi j / K.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Mapping
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import AliasingError
 
@@ -153,6 +153,8 @@ def synthesis(coeffs: np.ndarray, mode_cap: int, num_points: int) -> np.ndarray:
 
     Works along the last axis, so a (B, 2M+1) stack gives (B, K) samples.
     """
+    from scipy import fft as sfft
+
     _require_resolving(num_points, mode_cap, "synthesis")
     coeffs = np.asarray(coeffs)
     spread = np.zeros(coeffs.shape[:-1] + (num_points,), dtype=np.complex128)
@@ -188,6 +190,30 @@ def padded_grid_size(mode_cap: int) -> int:
     4M+1 points make the cubic convolution exact on |n| <= M: the product
     of three band-limited factors carries modes up to 3M, and a length-K
     DFT wraps mode m onto m - K, which stays outside [-M, M] once
-    K >= 4M+1.  Rounded up to an FFT-friendly length.
+    K >= 4M+1.  Rounded up to an FFT-friendly length: scipy.fft's complex
+    ``next_fast_len``, computed here without importing scipy.
     """
-    return int(sfft.next_fast_len(4 * mode_cap + 1, real=False))
+    return _next_fast_len(4 * int(mode_cap) + 1, (2, 3, 5, 7, 11))
+
+
+@functools.lru_cache(maxsize=64)
+def _next_fast_len(target: int, primes: tuple[int, ...]) -> int:
+    """The smallest integer >= target (>= 1) with no prime factor outside
+    ``primes``, which must start with 2.
+
+    With primes 2..11 this is ``scipy.fft.next_fast_len(target)``, and with
+    2, 3, 5 it is ``next_fast_len(target, real=True)``: the lengths pocketfft
+    transforms fastest.
+    """
+    power_of_two = 1 << (target - 1).bit_length()
+    # every product of the odd primes up to that power of two, each then
+    # doubled until it reaches the target
+    odd = [1]
+    for prime in primes[1:]:
+        grown = []
+        for product in odd:
+            while product <= power_of_two:
+                grown.append(product)
+                product *= prime
+        odd = grown
+    return min(product << ((target - 1) // product).bit_length() for product in odd)

@@ -7,6 +7,10 @@ with.
 """
 
 import numpy as np
+# mkdvlab imports scipy.fft when it builds its first stepper; import it
+# with the test modules, so that no test's timing (hypothesis deadlines
+# included) pays that one-time import
+import scipy.fft  # noqa: F401
 
 from mkdvlab.spectral import FourierState
 

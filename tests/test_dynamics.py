@@ -631,3 +631,18 @@ def test_j1_sum_does_not_depend_on_blas_threads():
                               text=True, timeout=120, check=True)
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1] == f"{j1_multiplier_sum(0, 0.5, 2.0, 16384)!r}\n"
+
+
+def test_j1_numpy_fft_matches_scipy_bitwise(monkeypatch):
+    from scipy import fft as sfft
+
+    cases = [(n, s, p, radius) for s, p in ((0.5, 2.0), (0.75, 8.0))
+             for n in (0, 32, -32, 256, -256)
+             for radius in (64, 128, 256, 512, 1024, 2048, 4096)]
+    got = [j1_multiplier_sum(*case) for case in cases]
+    # the same sums through scipy's real FFT at scipy's fast length
+    monkeypatch.setattr(np.fft, "rfft", sfft.rfft)
+    monkeypatch.setattr(np.fft, "irfft", sfft.irfft)
+    monkeypatch.setattr(mkdvlab.dynamics, "_next_fast_len",
+                        lambda target, primes: sfft.next_fast_len(target, real=True))
+    assert got == [j1_multiplier_sum(*case) for case in cases]

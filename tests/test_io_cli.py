@@ -1,7 +1,12 @@
 """Serialization round trips, the command-line surface and the package exports."""
 
 import json
+import math
+import os
+import pathlib
 import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -119,6 +124,11 @@ def test_state_csv_written_text_skips_the_line_reader(monkeypatch):
     text = state_to_csv_text(state)
     monkeypatch.setattr(mkdvlab.io, "_state_from_csv_lines", refuse)
     assert np.array_equal(state_from_csv_text(text).coeffs, state.coeffs)
+    # signed zeros and infinities too, each part kept as written
+    edges = FourierState(np.array([-0.0, 0.0, 1.0, np.inf, 0.0, -0.0, -np.inf, -0.0,
+                                   np.nan, 2.5]).view(np.complex128), 2)
+    back = state_from_csv_text(state_to_csv_text(edges))
+    assert back.coeffs.tobytes() == edges.coeffs.tobytes()
 
 
 def test_state_json_round_trip_exact():
@@ -127,6 +137,17 @@ def test_state_json_round_trip_exact():
     assert back.mode_cap == 5
     assert back.time == 2.5
     assert np.array_equal(back.coeffs, state.coeffs)
+
+
+def test_state_json_keeps_signed_zeros():
+    # -0.0 is written as -0, which JSON reads as the integer 0
+    parts = np.array([-0.0, 0.0, 1.0, -0.0, 0.0, -0.0, -0.0, -0.0, -3.0, 0.0])
+    state = FourierState(parts.view(np.complex128), 2, -0.0)
+    text = state_to_json_text(state)
+    assert '"time": -0' in text
+    back = state_from_json_text(text)
+    assert back.coeffs.tobytes() == state.coeffs.tobytes()
+    assert math.copysign(1.0, back.time) == -1.0 and back.mode_cap == 2
 
 
 def test_load_state_dispatches_on_suffix(tmp_path):
@@ -538,3 +559,77 @@ def test_package_exports_resolve_once():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(mkdvlab, name), name
+
+
+# Runs each step of argv[1] in order, a Python statement or CLI arguments,
+# and prints one JSON line: per step, its exit code and the scipy modules
+# loaded by then.
+STARTUP_PROBE = """
+import json, sys
+
+def run(step):
+    if isinstance(step, str):
+        exec(step, {})
+        return 0
+    from mkdvlab.cli import main
+    try:
+        main(step)
+    except SystemExit as exc:
+        return exc.code
+    return 0
+
+report = []
+for step in json.loads(sys.argv[1]):
+    code = run(step)
+    report.append([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
+print(json.dumps(report))
+"""
+
+
+def fresh_interpreter_steps(steps):
+    """[(exit code, scipy modules loaded after it)] for each step, run in order
+    in one fresh interpreter."""
+    src = str(pathlib.Path(mkdvlab.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", STARTUP_PROBE, json.dumps(steps)],
+                          env=env, capture_output=True, text=True, timeout=300, check=True)
+    return [tuple(step) for step in json.loads(done.stdout.splitlines()[-1])]
+
+
+def test_only_stepping_loads_scipy(tmp_path):
+    traj = tmp_path / "solved"
+    assert run_cli("solve", "--modes", "8", "--ic", "random_smooth:1.5,0", "--T", "0.002",
+                   "--save-every", "1", "--out", str(traj)) == 0
+    probe = ["experiment", "multiplier_probe", "--set", "pairs=0.5:2", "--set", "n_list=0,4",
+             "--set", "radii=8,16,32", "--set", "stab_tol=1.0"]
+    steps = [
+        "import mkdvlab",
+        "import mkdvlab.cli",
+        ["gauge", "--traj", str(traj), "--which", "G1", "--out", str(tmp_path / "g1")],
+        ["gauge", "--traj", str(tmp_path / "g1"), "--invert", "--out", str(tmp_path / "back")],
+        ["norms", "--state", str(tmp_path / "back" / "states" / "state_000002.csv"),
+         "--p", "2,inf"],
+        [*probe, "--out", str(tmp_path / "probe")],
+        [*probe, "--set", "bogus=1", "--out", str(tmp_path / "refused")],
+    ]
+    outcomes = fresh_interpreter_steps(steps + [
+        ["solve", "--modes", "8", "--ic", "random_smooth:1.5,0", "--T", "0.002",
+         "--out", str(tmp_path / "again")],
+    ])
+    assert outcomes[: len(steps)] == [(0, [])] * (len(steps) - 1) + [(1, [])]
+    code, loaded = outcomes[-1]
+    assert code == 0 and "scipy.fft" in loaded
+
+
+def test_forked_solves_inherit_scipy():
+    # with two CPUs, the parent only forks and collects; it loads scipy.fft
+    # itself, so that the workers inherit it
+    job = "(preset_state(8, 'random_smooth:1.2,1'), EquationSpec('mkdv', 1), 1e-3, 0.002)"
+    outcomes = fresh_interpreter_steps([
+        "import os; os.sched_getaffinity = lambda pid: {0, 1}",
+        "from mkdvlab.dynamics import EquationSpec, _solve_each; "
+        "from mkdvlab.presets import preset_state; "
+        f"assert len(_solve_each([{job}, {job}])) == 2",
+    ])
+    assert "scipy.fft" in outcomes[-1][1]

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from conftest import oracle_synthesis, random_state
+from mkdvlab.dynamics import J1_MAX_RADIUS
 from mkdvlab.errors import AliasingError
 from mkdvlab.spectral import (
     FourierState,
+    _next_fast_len,
     conjugate_state,
     padded_grid_size,
     project_high,
@@ -106,3 +109,8 @@ def test_padded_grid_resolves_cubic():
     for cap in (1, 4, 16, 100, 512):
         assert padded_grid_size(cap) >= 4 * cap + 1
 
+
+def test_next_fast_len_matches_scipy():
+    for target in (*range(1, 20001), 4 * J1_MAX_RADIUS + 1):
+        assert _next_fast_len(target, (2, 3, 5, 7, 11)) == sfft.next_fast_len(target)
+        assert _next_fast_len(target, (2, 3, 5)) == sfft.next_fast_len(target, real=True)
