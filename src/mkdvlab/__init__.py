@@ -53,14 +53,12 @@ from .norms import (
 from .presets import PRESET_NAMES, parse_preset, preset_state
 from .spectral import (
     FourierState,
-    GridFunction,
     conjugate_state,
     padded_grid_size,
     project_high,
     project_low,
     state_from_modes,
     synthesis,
-    to_physical,
     zero_state,
 )
 
@@ -108,13 +106,11 @@ __all__ = [
     "parse_preset",
     "preset_state",
     "FourierState",
-    "GridFunction",
     "conjugate_state",
     "padded_grid_size",
     "project_high",
     "project_low",
     "state_from_modes",
     "synthesis",
-    "to_physical",
     "zero_state",
 ]

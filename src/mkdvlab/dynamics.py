@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SolverAbort, StabilityWarning
-from .norms import NormSpec, fl_norm, japanese_bracket
+from .norms import NormSpec, _row_mass, fl_norm, japanese_bracket
 from .spectral import (
     FourierState,
     _gather_modes,
@@ -397,11 +397,6 @@ def _ifrk4_stepper(cap: int, equations: Sequence[EquationSpec], dt: float):
     return advance
 
 
-def _row_mass(coeffs: np.ndarray) -> list[float]:
-    """Mass of each row of a C-contiguous stack, independent of the others."""
-    return np.add.reduce(np.square(coeffs.view(np.float64)), axis=-1).tolist()
-
-
 def step(state: FourierState, equation: EquationSpec, dt: float) -> FourierState:
     """Advance one step of size dt."""
     if dt <= 0.0:
@@ -585,7 +580,7 @@ def solve_many(
     saved = [[st] for st in states]
     results: list[Trajectory | SolverAbort | None] = [None] * len(states)
     starts = [st.time for st in states]
-    mass_prev = _row_mass(current)
+    mass_prev = _row_mass(current).tolist()
     mass_floor = [1e-13 * max(1.0, m) for m in mass_prev]
 
     def partial(row: int) -> Trajectory:
@@ -596,7 +591,7 @@ def solve_many(
     live = list(range(len(states)))
     for k in range(1, n_steps + 1):
         current = advance(current)
-        mass_now = _row_mass(current)
+        mass_now = _row_mass(current).tolist()
         for row in live:
             drift = abs(mass_now[row] - mass_prev[row])
             # a non-finite row has a nan or inf mass and fails this test too

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,9 +52,15 @@ def fl_norm(state: FourierState, spec: NormSpec) -> float:
     return _weighted_lp(weights * np.abs(state.coeffs), spec.p)
 
 
+def _row_mass(coeffs: np.ndarray) -> np.ndarray:
+    """sum |u_hat(n)|^2 of each row of a C-contiguous coefficient stack,
+    independent of the other rows and of the BLAS thread count."""
+    return np.add.reduce(np.square(coeffs.view(np.float64)), axis=-1)
+
+
 def mass(state: FourierState) -> float:
     """sum |u_hat(n)|^2 = (1/2pi) int |u|^2 dx."""
-    return float(np.vdot(state.coeffs, state.coeffs).real)
+    return float(_row_mass(state.coeffs))
 
 
 def momentum(state: FourierState) -> float:
@@ -64,22 +70,6 @@ def momentum(state: FourierState) -> float:
 
 
 CoefficientRule = Callable[[int], complex]
-MomentumSource = Union[FourierState, CoefficientRule]
-
-
-def _coefficients_up_to(source: MomentumSource, radius: int) -> np.ndarray:
-    """Coefficient array for n = -radius..radius from a state or a rule."""
-    if isinstance(source, FourierState):
-        out = np.zeros(2 * radius + 1, dtype=np.complex128)
-        lo = min(radius, source.mode_cap)
-        out[radius - lo : radius + lo + 1] = source.coeffs[
-            source.mode_cap - lo : source.mode_cap + lo + 1
-        ]
-        return out
-    return np.array(
-        [complex(source(int(n))) for n in range(-radius, radius + 1)],
-        dtype=np.complex128,
-    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,11 +87,12 @@ class MomentumSeries:
 
 
 def momentum_limit_diagnostic(
-    source: MomentumSource,
+    rule: CoefficientRule,
     schedule: Sequence[int],
     tol: float = MOMENTUM_TOL,
 ) -> MomentumSeries:
-    """Classify the truncation limit of P_N along an increasing schedule.
+    """Classify the truncation limit of P_N along an increasing schedule,
+    with u_hat(n) = rule(n).
 
     converged: the last three successive differences all fall below
     tol * (1 + |P_last|).  diverging: |P_last| has grown by a factor >= 2
@@ -113,8 +104,8 @@ def momentum_limit_diagnostic(
     if any(b <= a for a, b in zip(sched, sched[1:])) or sched[0] < 0:
         raise ValueError("schedule must be strictly increasing and nonnegative")
 
-    coeffs = _coefficients_up_to(source, sched[-1])
     ns = np.arange(-sched[-1], sched[-1] + 1)
+    coeffs = np.array([complex(rule(int(n))) for n in ns], dtype=np.complex128)
     terms = ns * np.abs(coeffs) ** 2
     values = [float(np.sum(terms[np.abs(ns) <= N])) for N in sched]
 

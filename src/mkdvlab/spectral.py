@@ -17,21 +17,6 @@ from .errors import AliasingError
 
 TWO_PI = 2.0 * np.pi
 
-REAL_SYMMETRY_TOL = 1e-14
-
-
-def _frozen_complex_array(values, length_name, expected_len=None):
-    arr = np.asarray(values, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ValueError(f"{length_name} must be one-dimensional")
-    if expected_len is not None and arr.size != expected_len:
-        raise ValueError(
-            f"{length_name} has length {arr.size}, expected {expected_len}"
-        )
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
-
 
 @dataclasses.dataclass(frozen=True)
 class FourierState:
@@ -48,9 +33,14 @@ class FourierState:
     def __post_init__(self):
         if self.mode_cap < 0:
             raise ValueError("mode_cap must be >= 0")
-        arr = _frozen_complex_array(
-            self.coeffs, "coeffs", expected_len=2 * self.mode_cap + 1
-        )
+        arr = np.array(self.coeffs, dtype=np.complex128)  # a private copy
+        if arr.ndim != 1:
+            raise ValueError("coeffs must be one-dimensional")
+        if arr.size != 2 * self.mode_cap + 1:
+            raise ValueError(
+                f"coeffs has length {arr.size}, expected {2 * self.mode_cap + 1}"
+            )
+        arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "time", float(self.time))
 
@@ -68,33 +58,12 @@ class FourierState:
             return 0.0 + 0.0j
         return complex(self.coeffs[n + self.mode_cap])
 
-    def is_real_valued(self, tol: float = REAL_SYMMETRY_TOL) -> bool:
-        """True when coeffs(-n) = conj(coeffs(n)) within ``tol``."""
-        reflected = np.conj(self.coeffs[::-1])
-        scale = max(1.0, float(np.max(np.abs(self.coeffs), initial=0.0)))
-        return bool(np.max(np.abs(self.coeffs - reflected), initial=0.0) <= tol * scale)
-
     def with_(self, coeffs=None, time=None) -> "FourierState":
         return FourierState(
             coeffs=self.coeffs if coeffs is None else coeffs,
             mode_cap=self.mode_cap,
             time=self.time if time is None else time,
         )
-
-
-@dataclasses.dataclass(frozen=True)
-class GridFunction:
-    """Samples on the uniform grid x_j = 2pi j / K, j = 0..K-1."""
-
-    samples: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        arr = _frozen_complex_array(self.samples, "samples")
-        if arr.size == 0:
-            raise ValueError("samples must be non-empty")
-        object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "time", float(self.time))
 
 
 def zero_state(mode_cap: int, time: float = 0.0) -> FourierState:
@@ -139,33 +108,23 @@ def _gather_modes(values: np.ndarray, mode_cap: int) -> np.ndarray:
     return out
 
 
-def _require_resolving(num_points: int, mode_cap: int, what: str) -> None:
-    needed = 2 * mode_cap + 1
-    if num_points < needed:
-        raise AliasingError(
-            f"{what} needs at least {needed} grid points for mode_cap "
-            f"{mode_cap}, got {num_points}"
-        )
-
-
 def synthesis(coeffs: np.ndarray, mode_cap: int, num_points: int) -> np.ndarray:
     """Raw coefficient array(s) -> samples on ``num_points`` grid points.
 
-    Works along the last axis, so a (B, 2M+1) stack gives (B, K) samples.
+    Works along the last axis, so a (B, 2M+1) stack gives (B, K) samples;
+    exact for K >= 2M+1.
     """
     from scipy import fft as sfft
 
-    _require_resolving(num_points, mode_cap, "synthesis")
+    if num_points < 2 * mode_cap + 1:
+        raise AliasingError(
+            f"synthesis needs at least {2 * mode_cap + 1} grid points for "
+            f"mode_cap {mode_cap}, got {num_points}"
+        )
     coeffs = np.asarray(coeffs)
     spread = np.zeros(coeffs.shape[:-1] + (num_points,), dtype=np.complex128)
     _spread_modes(coeffs, mode_cap, spread)
     return sfft.ifft(spread, overwrite_x=True) * num_points
-
-
-def to_physical(state: FourierState, num_points: int) -> GridFunction:
-    """Evaluate the state on the K-point grid; exact for K >= 2M+1."""
-    _require_resolving(num_points, state.mode_cap, "to_physical")
-    return GridFunction(synthesis(state.coeffs, state.mode_cap, num_points), state.time)
 
 
 def project_low(state: FourierState, cutoff: int) -> FourierState:

@@ -6,12 +6,18 @@ result in the package a second, structurally different route to agree
 with.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 # mkdvlab imports scipy.fft when it builds its first stepper; import it
 # with the test modules, so that no test's timing (hypothesis deadlines
 # included) pays that one-time import
 import scipy.fft  # noqa: F401
 
+import mkdvlab
 from mkdvlab.spectral import FourierState
 
 TWO_PI = 2.0 * np.pi
@@ -45,6 +51,28 @@ def oracle_cubic(state: FourierState) -> np.ndarray:
         state.with_(coeffs=1j * state.modes * state.coeffs), num
     )
     return oracle_analysis(np.abs(u) ** 2 * ux, cap)
+
+
+def is_conjugate_symmetric(coeffs: np.ndarray, tol: float = 1e-14) -> bool:
+    """coeffs(-n) = conj(coeffs(n)) within ``tol`` of the largest modulus
+    (at least 1): the coefficients of a real-valued function."""
+    reflected = np.conj(coeffs[::-1])
+    scale = max(1.0, float(np.max(np.abs(coeffs), initial=0.0)))
+    return bool(np.max(np.abs(coeffs - reflected), initial=0.0) <= tol * scale)
+
+
+def stdout_per_blas_thread_count(code: str) -> list[str]:
+    """stdout of ``python -c code`` under OPENBLAS_NUM_THREADS=1 and =2,
+    importing the mkdvlab under test."""
+    src = str(pathlib.Path(mkdvlab.__file__).parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        outputs.append(done.stdout)
+    return outputs
 
 
 def random_state(mode_cap: int, seed: int, scale: float = 0.3) -> FourierState:

@@ -3,17 +3,14 @@
 import concurrent.futures
 import math
 import os
-import pathlib
 import pickle
-import subprocess
-import sys
 import warnings
 
 import numpy as np
 import pytest
 
 import mkdvlab
-from conftest import oracle_cubic, random_state
+from conftest import oracle_cubic, random_state, stdout_per_blas_thread_count
 from mkdvlab.dynamics import (
     EquationSpec,
     Trajectory,
@@ -620,16 +617,9 @@ def test_j1_validation():
 def test_j1_sum_does_not_depend_on_blas_threads():
     # OpenBLAS threads a dot product of this length, and its threads sum in
     # another order; a numpy reduction gives one repr whatever their count
-    src = str(pathlib.Path(mkdvlab.__file__).parent.parent)
-    code = ("from mkdvlab.dynamics import j1_multiplier_sum; "
-            "print(repr(j1_multiplier_sum(0, 0.5, 2.0, 16384)))")
-    outputs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120, check=True)
-        outputs.append(done.stdout)
+    outputs = stdout_per_blas_thread_count(
+        "from mkdvlab.dynamics import j1_multiplier_sum; "
+        "print(repr(j1_multiplier_sum(0, 0.5, 2.0, 16384)))")
     assert outputs[0] == outputs[1] == f"{j1_multiplier_sum(0, 0.5, 2.0, 16384)!r}\n"
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import fft as sfft
 
-from conftest import oracle_synthesis, random_state
+from conftest import is_conjugate_symmetric, oracle_synthesis, random_state
 from mkdvlab.dynamics import J1_MAX_RADIUS
 from mkdvlab.errors import AliasingError
 from mkdvlab.spectral import (
@@ -16,7 +16,6 @@ from mkdvlab.spectral import (
     project_low,
     state_from_modes,
     synthesis,
-    to_physical,
     zero_state,
 )
 
@@ -49,15 +48,15 @@ def test_coeffs_are_frozen():
 def test_transforms_match_direct_quadrature():
     state = random_state(9, seed=11)
     for num in (19, 24, 40):
-        grid = to_physical(state, num)
+        samples = synthesis(state.coeffs, state.mode_cap, num)
         direct = oracle_synthesis(state, num)
-        assert np.max(np.abs(grid.samples - direct)) < 1e-12
+        assert np.max(np.abs(samples - direct)) < 1e-12
 
 
 def test_transform_requires_resolving_grid():
-    state = random_state(8, seed=0)
+    stack = np.stack([random_state(8, seed=k).coeffs for k in range(2)])
     with pytest.raises(AliasingError):
-        to_physical(state, 16)  # needs 2M+1 = 17
+        synthesis(stack, 8, 16)  # needs 2M+1 = 17
 
 
 def test_raw_transforms_require_resolving_grid():
@@ -77,15 +76,18 @@ def test_synthesis_of_a_stack_is_rowwise():
 def test_conjugate_state_is_physical_conjugate():
     state = random_state(6, seed=3)
     conj = conjugate_state(state)
-    samples = to_physical(state, 16).samples
-    conj_samples = to_physical(conj, 16).samples
+    samples = synthesis(state.coeffs, 6, 16)
+    conj_samples = synthesis(conj.coeffs, 6, 16)
     assert np.max(np.abs(conj_samples - np.conj(samples))) < 1e-13
 
 
 def test_real_symmetry_detection():
     sym = state_from_modes(4, {1: 0.5 + 0.25j, -1: 0.5 - 0.25j, 0: 1.0})
-    assert sym.is_real_valued()
-    assert not state_from_modes(4, {1: 0.5}).is_real_valued()
+    assert is_conjugate_symmetric(sym.coeffs)
+    assert np.max(np.abs(synthesis(sym.coeffs, 4, 9).imag)) < 1e-15
+    one_sided = state_from_modes(4, {1: 0.5})
+    assert not is_conjugate_symmetric(one_sided.coeffs)
+    assert np.max(np.abs(synthesis(one_sided.coeffs, 4, 9).imag)) > 0.4
 
 
 def test_projections_partition_modes():

@@ -43,6 +43,11 @@ COMMANDS = [experiment(name, "") for name in NAMES] + [
     ("gauge_invert", "gauge --traj g1 --invert --out inverted".split()),
     ("norms", "norms --state inverted/states/state_000050.csv --p inf,2 "
               "--out norms.json".split()),
+    # a cap far above the defaults, where a BLAS-threaded mass would move
+    ("solve_big", "solve --modes 8192 --ic gaussian_bump:3000,1e-3 --T 1e-6 "
+                  "--dt 1e-6 --out big".split()),
+    ("norms_big", "norms --state big/states/state_000000.csv "
+                  "--out big_norms.json".split()),
 ]
 
 
