@@ -2,18 +2,15 @@
 
 Simulates the three renormalization stages of the equation, converts between
 them through explicit gauge transformations, measures Fourier-Lebesgue
-norms, decomposes the nonlinearity into resonant and nonresonant parts, and
-drives scripted experiments around conservation, ill-posedness, and momentum
-divergence.
+norms, and drives scripted experiments around conservation, ill-posedness,
+and momentum divergence.
 """
 
 from ._version import __version__
 from .dynamics import (
     VARIANTS,
     EquationSpec,
-    NonlinearityParts,
     Trajectory,
-    decompose_nonlinearity,
     j1_multiplier_sum,
     nonlinearity,
     phase_schedule,
@@ -22,7 +19,6 @@ from .dynamics import (
     solve,
     solve_many,
     stability_dt_limit,
-    step,
 )
 from .errors import (
     AliasingError,
@@ -66,9 +62,7 @@ __all__ = [
     "__version__",
     "VARIANTS",
     "EquationSpec",
-    "NonlinearityParts",
     "Trajectory",
-    "decompose_nonlinearity",
     "j1_multiplier_sum",
     "nonlinearity",
     "phase_schedule",
@@ -77,7 +71,6 @@ __all__ = [
     "solve",
     "solve_many",
     "stability_dt_limit",
-    "step",
     "AliasingError",
     "ConfigError",
     "GaugeMismatchError",

@@ -39,9 +39,6 @@ VARIANTS = ("mkdv", "mkdv1", "mkdv2")
 #: |n_j| bound for exact resonance arithmetic.
 RESONANCE_DOMAIN = 1 << 20
 
-#: Mode-cap ceiling for the brute-force decomposition.
-DECOMPOSITION_CAP = 64
-
 #: Largest summation radius j1_multiplier_sum accepts.
 J1_MAX_RADIUS = 1 << 16
 
@@ -69,6 +66,14 @@ class EquationSpec:
         object.__setattr__(self, "sign", int(self.sign))
 
 
+def _positive_finite(name: str, value) -> float:
+    """``float(value)``, or a ValueError naming ``name`` unless 0 < value < inf."""
+    value = float(value)
+    if not 0.0 < value < math.inf:  # rejects NaN too
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 @dataclasses.dataclass(frozen=True)
 class Trajectory:
     """States on a uniform time grid, plus solver metadata."""
@@ -85,14 +90,12 @@ class Trajectory:
         cap = states[0].mode_cap
         if any(st.mode_cap != cap for st in states):
             raise ValueError("all trajectory states must share one mode_cap")
-        dt = float(self.dt)
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
+        dt = _positive_finite("dt", self.dt)
         t0 = states[0].time
         span = max(1.0, abs(t0) + len(states) * dt)
         for k, st in enumerate(states):
-            if abs(st.time - (t0 + k * dt)) > 1e-9 * span:
-                raise ValueError("state times are not uniform with spacing dt")
+            if not abs(st.time - (t0 + k * dt)) <= 1e-9 * span:  # NaN fails too
+                raise ValueError("state times must be finite and uniform with spacing dt")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "dt", dt)
 
@@ -207,70 +210,6 @@ def nonlinearity(state: FourierState, equation: EquationSpec) -> FourierState:
     return state.with_(coeffs=rhs(state.coeffs[None])[0])
 
 
-@dataclasses.dataclass(frozen=True)
-class NonlinearityParts:
-    """Sign-free pieces of the cubic term.
-
-    full cubic = nonresonant - resonant + momentum_part + mean_part, where
-    the variants keep (mkdv) all four, (mkdv1) all but mean_part, and
-    (mkdv2) only nonresonant - resonant.
-    """
-
-    nonresonant: FourierState
-    resonant: FourierState
-    momentum_part: FourierState
-    mean_part: FourierState
-
-
-def decompose_nonlinearity(state: FourierState) -> NonlinearityParts:
-    """Brute-force resonance decomposition; the oracle for the FFT path.
-
-    Direct O(M^3) summation over the nonresonant set; refused above
-    mode_cap 64 -- evaluate ``nonlinearity`` instead at larger caps.
-    """
-    cap = state.mode_cap
-    if cap > DECOMPOSITION_CAP:
-        raise ValueError(
-            f"decompose_nonlinearity is a brute-force oracle capped at "
-            f"mode_cap {DECOMPOSITION_CAP} (got {cap}); use nonlinearity() "
-            f"for production-size states"
-        )
-    modes = state.modes
-    coeffs = state.coeffs
-    reflected = np.conj(coeffs[::-1])  # index m+cap holds conj(u_hat(-m))
-
-    n1 = modes[:, None]
-    n2 = modes[None, :]
-    pair12 = n1 + n2
-    outer = coeffs[:, None] * reflected[None, :]
-
-    nonres = np.zeros_like(coeffs)
-    for i, n in enumerate(modes):
-        n3 = n - pair12
-        valid = (
-            (np.abs(n3) <= cap)
-            & (pair12 != 0)
-            & ((n1 + n3) != 0)
-            & ((n2 + n3) != 0)
-        )
-        gather = np.clip(n3 + cap, 0, 2 * cap)
-        terms = (1j * n3) * outer * coeffs[gather]
-        nonres[i] = np.sum(terms[valid])
-
-    mags = coeffs.real**2 + coeffs.imag**2
-    resonant = (1j * modes) * mags * coeffs
-    mom = float(np.sum(modes * mags))
-    mu = float(np.sum(mags))
-    momentum_part = 1j * mom * coeffs
-    mean_part = mu * (1j * modes) * coeffs
-    return NonlinearityParts(
-        nonresonant=state.with_(coeffs=nonres),
-        resonant=state.with_(coeffs=resonant),
-        momentum_part=state.with_(coeffs=momentum_part),
-        mean_part=state.with_(coeffs=mean_part),
-    )
-
-
 def j1_multiplier_sum(n: int, s: float, p: float, radius: int) -> float:
     """Truncated multiplier sum behind the key bilinear estimate.
 
@@ -330,8 +269,8 @@ def j1_multiplier_sum(n: int, s: float, p: float, radius: int) -> float:
             float(np.max(a[i : i + block, None] * a * hankel[i : i + block]))
             for i in range(0, k.size, block)
         )
-    # np.add.reduce, not BLAS: a threaded dot sums in an order that depends
-    # on the BLAS thread count
+    # np.add.reduce, not BLAS, here and in the norms below: a threaded dot
+    # sums in an order that depends on the BLAS thread count
     size = _next_fast_len(m.size, (2, 3, 5))
     spectrum = np.fft.rfft(a, size)
     total = float(np.add.reduce(c * np.fft.irfft(spectrum * spectrum, size)[: m.size]))
@@ -343,8 +282,8 @@ def j1_multiplier_sum(n: int, s: float, p: float, radius: int) -> float:
         np.finfo(np.float64).eps
         * math.log2(size)
         * np.sum(a)
-        * np.linalg.norm(a)
-        * np.linalg.norm(c)
+        * np.sqrt(np.add.reduce(np.square(a)))
+        * np.sqrt(np.add.reduce(np.square(c)))
     )
     if not estimate <= J1_FFT_TOLERANCE * total:
         total = float(np.add.reduce(c * np.convolve(a, a)))
@@ -395,19 +334,6 @@ def _ifrk4_stepper(cap: int, equations: Sequence[EquationSpec], dt: float):
         return stage(u, k2, dt / 6.0, full_prop)
 
     return advance
-
-
-def step(state: FourierState, equation: EquationSpec, dt: float) -> FourierState:
-    """Advance one step of size dt."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if not np.isfinite(state.coeffs).all():
-        raise SolverAbort(f"non-finite state at t = {state.time}")
-    advance = _ifrk4_stepper(state.mode_cap, (equation,), float(dt))
-    out = advance(state.coeffs[None])[0]
-    if not np.isfinite(out).all():
-        raise SolverAbort(f"non-finite state produced at t = {state.time + dt}")
-    return state.with_(coeffs=out, time=state.time + float(dt))
 
 
 def solve(
@@ -542,10 +468,8 @@ def solve_many(
     cap = states[0].mode_cap
     if any(st.mode_cap != cap for st in states):
         raise ValueError("all members must share one mode_cap")
-    dt = float(dt)
-    horizon = float(horizon)
-    if dt <= 0.0 or horizon <= 0.0:
-        raise ValueError("dt and horizon must be positive")
+    dt = _positive_finite("dt", dt)
+    horizon = _positive_finite("horizon", horizon)
     n_steps = int(round(horizon / dt))
     if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError(
@@ -649,8 +573,10 @@ def phase_schedule(total: float, dt_cap: float, save_points: int) -> tuple[float
 
     Returns (dt, save_every) with save_points * save_every steps overall.
     """
-    if total <= 0.0 or dt_cap <= 0.0 or save_points < 1:
-        raise ValueError("total, dt_cap and save_points must be positive")
+    total = _positive_finite("total", total)
+    dt_cap = _positive_finite("dt_cap", dt_cap)
+    if save_points < 1:
+        raise ValueError("save_points must be positive")
     per_block = total / save_points
     save_every = max(1, math.ceil(per_block / dt_cap))
     return per_block / save_every, save_every

@@ -165,18 +165,6 @@ def _state_from_csv_lines(text: str, time: float, source) -> FourierState:
     return FourierState(coeffs, cap, time)
 
 
-def state_to_json_text(state: FourierState) -> str:
-    payload = {
-        "mode_cap": state.mode_cap,
-        "time": state.time,
-        "coeffs": [
-            [int(n), value.real, value.imag]
-            for n, value in zip(state.modes, state.coeffs)
-        ],
-    }
-    return canonical_json(payload)
-
-
 def _json_int(text: str):
     """A JSON integer; "-0", which is how fmt17 writes -0.0, stays -0.0."""
     return -0.0 if text == "-0" else int(text)
@@ -235,7 +223,7 @@ def state_from_json_text(text: str, source="JSON state") -> FourierState:
             raise ValueError(f"{source}: field 'coeffs' lists mode {n} twice")
         seen.add(n)
         coeffs[n + cap] = value
-    return FourierState(coeffs, cap, _field(payload, "time", float, source))
+    return FourierState(coeffs, cap, _field(payload, "time", _finite, source))
 
 
 def load_state(path) -> FourierState:

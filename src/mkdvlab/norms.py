@@ -10,9 +10,6 @@ import numpy as np
 
 from .spectral import TWO_PI, FourierState
 
-#: Default tolerance for the momentum limit verdict.
-MOMENTUM_TOL = 1e-6
-
 
 def japanese_bracket(n) -> np.ndarray:
     """<n> = (1 + n^2)^(1/2), vectorized."""
@@ -78,18 +75,12 @@ class MomentumSeries:
 
     truncations: tuple[tuple[int, float], ...]
     verdict: str  # "converged" | "diverging" | "undetermined"
-    limit: float | None
-    tol: float
-
-    @property
-    def values(self) -> list[float]:
-        return [p for _, p in self.truncations]
 
 
 def momentum_limit_diagnostic(
     rule: CoefficientRule,
     schedule: Sequence[int],
-    tol: float = MOMENTUM_TOL,
+    tol: float,
 ) -> MomentumSeries:
     """Classify the truncation limit of P_N along an increasing schedule,
     with u_hat(n) = rule(n).
@@ -112,17 +103,12 @@ def momentum_limit_diagnostic(
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     scale = tol * (1.0 + abs(values[-1]))
     if all(d <= scale for d in diffs[-3:]):
-        verdict, limit = "converged", values[-1]
+        verdict = "converged"
     elif abs(values[-1]) >= 2.0 * abs(values[0]):
-        verdict, limit = "diverging", None
+        verdict = "diverging"
     else:
-        verdict, limit = "undetermined", None
-    return MomentumSeries(
-        truncations=tuple(zip(sched, values)),
-        verdict=verdict,
-        limit=limit,
-        tol=float(tol),
-    )
+        verdict = "undetermined"
+    return MomentumSeries(tuple(zip(sched, values)), verdict)
 
 
 def raised_cosine(t, span: float):

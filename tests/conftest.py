@@ -1,11 +1,12 @@
-"""Shared helpers: independent oracles and state factories.
+"""Shared helpers: independent oracles, a JSON state writer and state factories.
 
 The oracles recompute spectral quantities straight from the definitions
-(direct quadrature sums, no FFT anywhere), giving every transform-based
-result in the package a second, structurally different route to agree
-with.
+(direct quadrature sums and the brute-force resonance decomposition, no
+FFT anywhere), giving every transform-based result in the package a
+second, structurally different route to agree with.
 """
 
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -18,6 +19,7 @@ import numpy as np
 import scipy.fft  # noqa: F401
 
 import mkdvlab
+from mkdvlab.io import canonical_json
 from mkdvlab.spectral import FourierState
 
 TWO_PI = 2.0 * np.pi
@@ -51,6 +53,88 @@ def oracle_cubic(state: FourierState) -> np.ndarray:
         state.with_(coeffs=1j * state.modes * state.coeffs), num
     )
     return oracle_analysis(np.abs(u) ** 2 * ux, cap)
+
+
+#: Mode-cap ceiling for the brute-force decomposition.
+DECOMPOSITION_CAP = 64
+
+
+@dataclasses.dataclass(frozen=True)
+class NonlinearityParts:
+    """Sign-free pieces of the cubic term.
+
+    full cubic = nonresonant - resonant + momentum_part + mean_part, where
+    the variants keep (mkdv) all four, (mkdv1) all but mean_part, and
+    (mkdv2) only nonresonant - resonant.
+    """
+
+    nonresonant: FourierState
+    resonant: FourierState
+    momentum_part: FourierState
+    mean_part: FourierState
+
+
+def decompose_nonlinearity(state: FourierState) -> NonlinearityParts:
+    """Brute-force resonance decomposition; the oracle for the FFT path.
+
+    Direct O(M^3) summation over the nonresonant set, sharing no code with
+    ``mkdvlab.dynamics.nonlinearity``; refused above mode_cap 64.
+    """
+    cap = state.mode_cap
+    if cap > DECOMPOSITION_CAP:
+        raise ValueError(
+            f"decompose_nonlinearity is a brute-force oracle capped at "
+            f"mode_cap {DECOMPOSITION_CAP} (got {cap}); use "
+            f"mkdvlab.dynamics.nonlinearity() for production-size states"
+        )
+    modes = state.modes
+    coeffs = state.coeffs
+    reflected = np.conj(coeffs[::-1])  # index m+cap holds conj(u_hat(-m))
+
+    n1 = modes[:, None]
+    n2 = modes[None, :]
+    pair12 = n1 + n2
+    outer = coeffs[:, None] * reflected[None, :]
+
+    nonres = np.zeros_like(coeffs)
+    for i, n in enumerate(modes):
+        n3 = n - pair12
+        valid = (
+            (np.abs(n3) <= cap)
+            & (pair12 != 0)
+            & ((n1 + n3) != 0)
+            & ((n2 + n3) != 0)
+        )
+        gather = np.clip(n3 + cap, 0, 2 * cap)
+        terms = (1j * n3) * outer * coeffs[gather]
+        nonres[i] = np.sum(terms[valid])
+
+    mags = coeffs.real**2 + coeffs.imag**2
+    resonant = (1j * modes) * mags * coeffs
+    mom = float(np.sum(modes * mags))
+    mu = float(np.sum(mags))
+    momentum_part = 1j * mom * coeffs
+    mean_part = mu * (1j * modes) * coeffs
+    return NonlinearityParts(
+        nonresonant=state.with_(coeffs=nonres),
+        resonant=state.with_(coeffs=resonant),
+        momentum_part=state.with_(coeffs=momentum_part),
+        mean_part=state.with_(coeffs=mean_part),
+    )
+
+
+def state_to_json_text(state: FourierState) -> str:
+    """A JSON state as ``mkdvlab.io.load_state`` reads it: canonical JSON
+    with mode_cap, time and one [n, re, im] row per mode."""
+    payload = {
+        "mode_cap": state.mode_cap,
+        "time": state.time,
+        "coeffs": [
+            [int(n), value.real, value.imag]
+            for n, value in zip(state.modes, state.coeffs)
+        ],
+    }
+    return canonical_json(payload)
 
 
 def is_conjugate_symmetric(coeffs: np.ndarray, tol: float = 1e-14) -> bool:

@@ -14,10 +14,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import decompose_nonlinearity, random_state
 from mkdvlab.dynamics import (
     EquationSpec,
-    decompose_nonlinearity,
     j1_multiplier_sum,
     nonlinearity,
     phi_resonance,

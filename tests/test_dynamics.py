@@ -10,12 +10,16 @@ import numpy as np
 import pytest
 
 import mkdvlab
-from conftest import oracle_cubic, random_state, stdout_per_blas_thread_count
+from conftest import (
+    decompose_nonlinearity,
+    oracle_cubic,
+    random_state,
+    stdout_per_blas_thread_count,
+)
 from mkdvlab.dynamics import (
     EquationSpec,
     Trajectory,
     _solve_each,
-    decompose_nonlinearity,
     j1_multiplier_sum,
     nonlinearity,
     phase_schedule,
@@ -24,7 +28,6 @@ from mkdvlab.dynamics import (
     solve,
     solve_many,
     stability_dt_limit,
-    step,
 )
 from mkdvlab.errors import SolverAbort, StabilityWarning
 from mkdvlab.norms import NormSpec, fl_norm, mass, momentum
@@ -212,15 +215,6 @@ def test_stability_limit_formula():
     assert stability_dt_limit(state) == pytest.approx(0.5 / (16 * 4.0 + 1.0))
 
 
-def test_step_matches_solve():
-    state = preset_state(6, "random_smooth:1.2,5")
-    eq = EquationSpec("mkdv2", -1)
-    stepped = step(state, eq, 1e-3)
-    traj = solve(state, eq, 1e-3, 1e-3)
-    assert np.max(np.abs(stepped.coeffs - traj.final.coeffs)) < 1e-15
-    assert stepped.time == pytest.approx(1e-3)
-
-
 def test_mass_momentum_semidiscrete_conservation():
     state = preset_state(12, "random_smooth:1.0,2")
     for variant in ("mkdv", "mkdv1", "mkdv2"):
@@ -338,6 +332,24 @@ def test_solve_many_validation():
         solve_many([state, preset_state(5, "plane_wave:1,0.5,0")], [eq, eq], 1e-3, 0.01)
     with pytest.raises(ValueError):
         solve_many([state], [eq], 3e-3, 0.01)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_time_inputs_must_be_positive_and_finite(bad):
+    state = preset_state(4, "plane_wave:1,0.5,0")
+    eq = EquationSpec("mkdv", 1)
+    with pytest.raises(ValueError, match="^dt must be positive and finite"):
+        Trajectory((state,), bad)
+    with pytest.raises(ValueError, match="^state times must be finite"):
+        Trajectory((state.with_(time=bad),), 1e-3)
+    with pytest.raises(ValueError, match="^dt must be positive and finite"):
+        solve_many([state], [eq], bad, 0.01)
+    with pytest.raises(ValueError, match="^horizon must be positive and finite"):
+        solve_many([state], [eq], 1e-3, bad)
+    with pytest.raises(ValueError, match="^total must be positive and finite"):
+        phase_schedule(bad, 1e-3, 4)
+    with pytest.raises(ValueError, match="^dt_cap must be positive and finite"):
+        phase_schedule(0.1, bad, 4)
 
 
 # ------------------------------------------------------ independent solves
@@ -587,6 +599,19 @@ def test_j1_direct_convolution_where_fft_rounding_dominates(s, p):
         assert j1_multiplier_sum(n, s, p, 256) == pytest.approx(
             blocked_j1(n, s, p, 256), rel=1e-12
         )
+
+
+def test_j1_fallback_decision_calls_no_blas(monkeypatch):
+    # the rounding estimate's 2-norms are numpy reductions: a BLAS norm's
+    # last digits depend on the thread count, and so could the branch taken
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.norm called")
+
+    # (0, 1/2, 2) keeps its FFT sum; (-40, 0, 1.05) takes the direct one
+    cases = [(0, 0.5, 2.0, 256), (-40, 0.0, 1.05, 256)]
+    expected = [j1_multiplier_sum(*case) for case in cases]
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    assert [j1_multiplier_sum(*case) for case in cases] == expected
 
 
 def test_j1_empty_and_monotone():

@@ -14,7 +14,7 @@ import pytest
 
 import mkdvlab
 import mkdvlab.io
-from conftest import random_state
+from conftest import random_state, state_to_json_text
 from mkdvlab.cli import main
 from mkdvlab.dynamics import EquationSpec, solve
 from mkdvlab.errors import StabilityWarning
@@ -27,7 +27,6 @@ from mkdvlab.io import (
     state_from_csv_text,
     state_from_json_text,
     state_to_csv_text,
-    state_to_json_text,
     trajectory_from_dir,
     trajectory_to_dir,
 )
@@ -338,14 +337,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
     state_path = tmp_path / "st.json"
     payload = json.loads(state_to_json_text(preset_state(4, "plane_wave:2,1,0")))
-    # JSON states with a fractional or boolean mode_cap, a fractional mode and
-    # a repeated mode
+    # JSON states with a fractional or boolean mode_cap, a fractional mode, a
+    # repeated mode and a non-finite time (json writes NaN and Infinity)
     bad_states = []
     for name, field, change in (
         ("cap_frac", "mode_cap", {"mode_cap": 4.5}),
         ("cap_bool", "mode_cap", {"mode_cap": True}),
         ("mode_frac", "coeffs", {"coeffs": [[1.6, 1.0, 0.0]]}),
         ("mode_twice", "coeffs", {"coeffs": [[2, 1.0, 0.0], [2, 0.5, 0.0]]}),
+        ("time_nan", "time", {"time": float("nan")}),
+        ("time_inf", "time", {"time": float("inf")}),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({**payload, **change}))

@@ -104,7 +104,7 @@ def test_truncated_momentum_state_and_rule_agree():
 
     schedule = [4, 16, 64, 128]
     from_state = [momentum(project_low(state, cutoff)) for cutoff in schedule]
-    from_rule = momentum_limit_diagnostic(rule, schedule).truncations
+    from_rule = momentum_limit_diagnostic(rule, schedule, tol=1e-6).truncations
     for p_state, (cutoff, p_rule) in zip(from_state[:3], from_rule[:3]):
         assert p_state == pytest.approx(p_rule, rel=1e-14), cutoff
     # beyond the cap the state has no modes; the rule keeps summing
@@ -120,8 +120,8 @@ def test_truncated_momentum_frozen_table():
     def rule(n):
         return float(n) ** -0.9 if n >= 1 else 0.0
 
-    series = momentum_limit_diagnostic(rule, list(ONE_SIDED_MOMENTA))
-    assert series.values == pytest.approx(list(ONE_SIDED_MOMENTA.values()), abs=5e-7)
+    series = momentum_limit_diagnostic(rule, list(ONE_SIDED_MOMENTA), tol=1e-6)
+    assert dict(series.truncations) == pytest.approx(ONE_SIDED_MOMENTA, abs=5e-7)
 
 
 def test_momentum_diagnostic_converged():
@@ -131,9 +131,8 @@ def test_momentum_diagnostic_converged():
     series = momentum_limit_diagnostic(rule, [64, 128, 256, 512, 1024], tol=1e-4)
     assert isinstance(series, MomentumSeries)
     assert series.verdict == "converged"
-    assert series.limit == pytest.approx(series.values[-1])
-    # limit is sum n^-3; zeta(3) minus a tiny tail
-    assert series.limit == pytest.approx(1.2020569, abs=1e-4)
+    # the last truncation is sum n^-3; zeta(3) minus a tiny tail
+    assert series.truncations[-1][1] == pytest.approx(1.2020569, abs=1e-4)
 
 
 def test_momentum_diagnostic_diverging():
@@ -141,11 +140,10 @@ def test_momentum_diagnostic_diverging():
         return float(n) ** -0.9 if n >= 1 else 0.0
 
     schedule = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
-    series = momentum_limit_diagnostic(rule, schedule)
+    series = momentum_limit_diagnostic(rule, schedule, tol=1e-6)
     assert series.verdict == "diverging"
-    assert series.limit is None
     # P_N ~ N^0.2 / 0.2: slow growth, but a factor >= 2 over this range
-    assert series.values[-1] / series.values[0] > 2.0
+    assert series.truncations[-1][1] / series.truncations[0][1] > 2.0
 
 
 def test_momentum_diagnostic_undetermined():
@@ -162,9 +160,9 @@ def test_momentum_diagnostic_validation():
         return 0.0
 
     with pytest.raises(ValueError):
-        momentum_limit_diagnostic(rule, [1, 2, 3])
+        momentum_limit_diagnostic(rule, [1, 2, 3], tol=1e-6)
     with pytest.raises(ValueError):
-        momentum_limit_diagnostic(rule, [8, 4, 16, 32])
+        momentum_limit_diagnostic(rule, [8, 4, 16, 32], tol=1e-6)
 
 
 def test_raised_cosine_window():

@@ -6,8 +6,9 @@ SRC is the package source directory of a checkout (its ``src``); it goes
 first on sys.path.  OUT must not exist yet.  Each command runs in process
 through ``mkdvlab.cli.main`` with OUT as the working directory, and
 OUT/<command>.txt records its exit code, stdout and stderr with SRC replaced
-by ``<src>``.  Warnings are recorded as category and message only, so a
-moved source line does not show as a difference.
+by ``<src>``.  Before they run, OUT/state.json receives JSON_STATE, for the
+command that reads a JSON state.  Warnings are recorded as category and
+message only, so a moved source line does not show as a difference.
 Run it on two checkouts and compare the two OUT trees with ``diff -r``.
 """
 
@@ -48,7 +49,17 @@ COMMANDS = [experiment(name, "") for name in NAMES] + [
                   "--dt 1e-6 --out big".split()),
     ("norms_big", "norms --state big/states/state_000000.csv "
                   "--out big_norms.json".split()),
+    ("norms_json", "norms --state state.json --s 0,0.5 --p 1,2,inf "
+                   "--out json_norms.json".split()),
 ]
+
+# cap 2 with mode 0 left out (it reads as zero) and -0 parts, as fmt17 writes -0.0
+JSON_STATE = """{
+  "coeffs": [[-2, 0.25, -0], [-1, 1.5, 0.75], [1, -0.5, 2], [2, -0, 0.125]],
+  "mode_cap": 2,
+  "time": 0.5
+}
+"""
 
 
 def show_warning(message, category, *_):
@@ -66,6 +77,7 @@ if __name__ == "__main__":
         sys.exit(f"{out} already exists; give a fresh OUT directory")
     os.makedirs(out)
     os.chdir(out)
+    pathlib.Path("state.json").write_text(JSON_STATE)
     warnings.showwarning = show_warning
     for name, argv in COMMANDS:
         stdout, stderr, code = io.StringIO(), io.StringIO(), 0
