@@ -27,7 +27,6 @@ from .errors import SolverAbort, StabilityWarning
 from .norms import NormSpec, _row_mass, fl_norm, japanese_bracket
 from .spectral import (
     FourierState,
-    _gather_modes,
     _next_fast_len,
     _spread_modes,
     padded_grid_size,
@@ -153,10 +152,10 @@ def _rhs_builder(cap: int, equations: Sequence[EquationSpec]):
     those rows are changed.  The sign is folded into the FFT scale and the
     scalars; multiplying by -1 is exact, so that costs no rounding.
     """
-    # scipy is imported by the first stepper built, not with this module.
-    # rhs looks up sfft.fft and sfft.ifft at each call, so a wrapper set on
-    # scipy.fft (perfbench's tracer) sees every transform
-    from scipy import fft as sfft
+    # Imported by the first stepper built, not with this module.  rhs calls
+    # pocketfft's binding as scipy.fft.ifft and fft(overwrite_x=True) do, minus
+    # their dispatch, looking c2c up per call so a wrapper on it sees them all
+    from scipy.fft._pocketfft import pypocketfft
 
     num_points = padded_grid_size(cap)
     # per-mode factors are (1, L) rows, which numpy combines with a B = 1
@@ -164,7 +163,6 @@ def _rhs_builder(cap: int, equations: Sequence[EquationSpec]):
     nvec = np.arange(-cap, cap + 1).astype(np.float64)[None]
     deriv = 1j * nvec
     paired_nvec = np.repeat(nvec, 2, axis=-1)
-    padded_deriv = _spread_modes(deriv, cap, np.zeros((1, num_points), dtype=np.complex128))
     # complex, so that the products with complex arrays below need no cast
     sign = np.array([[complex(eq.sign)] for eq in equations])
     signed_scale = sign * (float(num_points) * float(num_points))
@@ -179,21 +177,29 @@ def _rhs_builder(cap: int, equations: Sequence[EquationSpec]):
     # u_hat and (in) u_hat on the padded grid; the band between M and K-M
     # stays zero
     spread = np.zeros((2, len(equations), num_points), dtype=np.complex128)
+    # conj(u), then u conj(u) u_x (operands in the formula's order, which
+    # the rounding depends on) and its transform, in place
+    product = np.empty(spread.shape[1:], dtype=np.complex128)
+    low, high = slice(num_points - cap, None), slice(None, cap + 1)
 
     def rhs(coeffs: np.ndarray) -> np.ndarray:
+        coeffs_dx = deriv * coeffs
         _spread_modes(coeffs, cap, spread[0])
-        np.multiply(padded_deriv, spread[0], out=spread[1])
-        phys, phys_dx = sfft.ifft(spread)
-        product = np.multiply(phys, np.conj(phys))  # not '*': its elision swaps operands
-        product *= phys_dx
-        cubic = _gather_modes(sfft.fft(product, overwrite_x=True), cap)
-        cubic *= signed_scale
+        _spread_modes(coeffs_dx, cap, spread[1])
+        phys, phys_dx = pypocketfft.c2c(spread, (-1,), False, 2, None, 1)
+        np.multiply(phys, np.conj(phys, out=product), out=product)
+        np.multiply(product, phys_dx, out=product)
+        pypocketfft.c2c(product, (-1,), True, 0, product, 1)
+        # a fresh array per call: the stepper keeps k1..k4
+        cubic = np.empty_like(coeffs_dx)
+        np.multiply(product[:, low], signed_scale, out=cubic[:, :cap])
+        np.multiply(product[:, high], signed_scale, out=cubic[:, cap:])
         if subtract_mean or subtract_momentum:
             # re^2 and im^2 of every mode, side by side in each row
             squares = np.square(coeffs.view(np.float64))
         if subtract_mean:
             mu = np.add.reduce(squares, axis=-1, keepdims=True)
-            term = (sign * mu) * (deriv * coeffs)
+            term = (sign * mu) * coeffs_dx
             np.subtract(cubic, term, out=cubic, where=mean_rows)
         if subtract_momentum:
             mom = np.add.reduce(paired_nvec * squares, axis=-1, keepdims=True)
@@ -388,10 +394,10 @@ def _solve_each(jobs: Sequence[tuple]) -> list[Trajectory]:
         return horizon / dt * padded_grid_size(state.mode_cap) if dt > 0 else 0.0
 
     longest_first = sorted(range(len(jobs)), key=lambda i: -cost(jobs[i]))
-    # the steppers import scipy.fft when built; import it here, before the
-    # fork, so that the workers inherit it rather than each spending ~0.4 s
-    # importing it again on every call
-    import scipy.fft  # noqa: F401
+    # the steppers import pocketfft's binding, and with it scipy.fft, when
+    # built; import it before the fork so that the workers inherit both
+    # rather than each spending ~0.4 s importing them on every call
+    import scipy.fft._pocketfft.pypocketfft  # noqa: F401
 
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=context) as pool:
@@ -468,6 +474,9 @@ def solve_many(
     cap = states[0].mode_cap
     if any(st.mode_cap != cap for st in states):
         raise ValueError("all members must share one mode_cap")
+    for b, st in enumerate(states):
+        if not math.isfinite(st.time):
+            raise ValueError(f"states[{b}].time must be finite, got {st.time}")
     dt = _positive_finite("dt", dt)
     horizon = _positive_finite("horizon", horizon)
     n_steps = int(round(horizon / dt))

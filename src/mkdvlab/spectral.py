@@ -98,23 +98,14 @@ def _spread_modes(coeffs: np.ndarray, mode_cap: int, out: np.ndarray) -> np.ndar
     return out
 
 
-def _gather_modes(values: np.ndarray, mode_cap: int) -> np.ndarray:
-    """Entries n mod K of the last axis for n = -M..M, in mode order; the
-    inverse of ``_spread_modes``."""
-    num_points = values.shape[-1]
-    out = np.empty(values.shape[:-1] + (2 * mode_cap + 1,), dtype=values.dtype)
-    out[..., :mode_cap] = values[..., num_points - mode_cap :]
-    out[..., mode_cap:] = values[..., : mode_cap + 1]
-    return out
-
-
 def synthesis(coeffs: np.ndarray, mode_cap: int, num_points: int) -> np.ndarray:
     """Raw coefficient array(s) -> samples on ``num_points`` grid points.
 
     Works along the last axis, so a (B, 2M+1) stack gives (B, K) samples;
-    exact for K >= 2M+1.
+    exact for K >= 2M+1.  Transforms as the stepper does, calling pocketfft's
+    binding as ``scipy.fft.ifft(x, overwrite_x=True)`` does.
     """
-    from scipy import fft as sfft
+    from scipy.fft._pocketfft import pypocketfft
 
     if num_points < 2 * mode_cap + 1:
         raise AliasingError(
@@ -124,7 +115,7 @@ def synthesis(coeffs: np.ndarray, mode_cap: int, num_points: int) -> np.ndarray:
     coeffs = np.asarray(coeffs)
     spread = np.zeros(coeffs.shape[:-1] + (num_points,), dtype=np.complex128)
     _spread_modes(coeffs, mode_cap, spread)
-    return sfft.ifft(spread, overwrite_x=True) * num_points
+    return pypocketfft.c2c(spread, (-1,), False, 2, spread, 1) * num_points
 
 
 def project_low(state: FourierState, cutoff: int) -> FourierState:

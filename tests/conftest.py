@@ -3,7 +3,9 @@
 The oracles recompute spectral quantities straight from the definitions
 (direct quadrature sums and the brute-force resonance decomposition, no
 FFT anywhere), giving every transform-based result in the package a
-second, structurally different route to agree with.
+second, structurally different route to agree with.  One exception,
+``reference_rhs_builder``, is a bitwise reference rather than an
+independent route: the right-hand side as written on public scipy.fft.
 """
 
 import dataclasses
@@ -19,8 +21,9 @@ import numpy as np
 import scipy.fft  # noqa: F401
 
 import mkdvlab
+from mkdvlab.dynamics import _SUBTRACTS
 from mkdvlab.io import canonical_json
-from mkdvlab.spectral import FourierState
+from mkdvlab.spectral import FourierState, _spread_modes, padded_grid_size
 
 TWO_PI = 2.0 * np.pi
 
@@ -164,3 +167,60 @@ def random_state(mode_cap: int, seed: int, scale: float = 0.3) -> FourierState:
     size = 2 * mode_cap + 1
     coeffs = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
     return FourierState(coeffs, mode_cap)
+
+
+def _gather_modes(values: np.ndarray, mode_cap: int) -> np.ndarray:
+    """Entries n mod K of the last axis for n = -M..M, in mode order; the
+    inverse of ``_spread_modes``."""
+    num_points = values.shape[-1]
+    out = np.empty(values.shape[:-1] + (2 * mode_cap + 1,), dtype=values.dtype)
+    out[..., :mode_cap] = values[..., num_points - mode_cap :]
+    out[..., mode_cap:] = values[..., : mode_cap + 1]
+    return out
+
+
+def reference_rhs_builder(cap, equations):
+    """``mkdvlab.dynamics._rhs_builder`` as written on public ``scipy.fft``:
+    the spread (in) u_hat comes from a padded-grid derivative row, and the
+    modes are gathered and then scaled.  Every operation and operand order
+    of the production right-hand side, through different calls, so the two
+    must agree bitwise.
+    """
+    from scipy import fft as sfft
+
+    num_points = padded_grid_size(cap)
+    nvec = np.arange(-cap, cap + 1).astype(np.float64)[None]
+    deriv = 1j * nvec
+    paired_nvec = np.repeat(nvec, 2, axis=-1)
+    padded_deriv = _spread_modes(deriv, cap, np.zeros((1, num_points), dtype=np.complex128))
+    sign = np.array([[complex(eq.sign)] for eq in equations])
+    signed_scale = sign * (float(num_points) * float(num_points))
+    mean_rows, momentum_rows = (
+        True if rows.all() else rows
+        for rows in np.array([_SUBTRACTS[eq.variant] for eq in equations]).T[:, :, None]
+    )
+    subtract_mean = bool(np.any(mean_rows))
+    subtract_momentum = bool(np.any(momentum_rows))
+    spread = np.zeros((2, len(equations), num_points), dtype=np.complex128)
+
+    def rhs(coeffs):
+        _spread_modes(coeffs, cap, spread[0])
+        np.multiply(padded_deriv, spread[0], out=spread[1])
+        phys, phys_dx = sfft.ifft(spread)
+        product = np.multiply(phys, np.conj(phys))  # not '*': its elision swaps operands
+        product *= phys_dx
+        cubic = _gather_modes(sfft.fft(product, overwrite_x=True), cap)
+        cubic *= signed_scale
+        if subtract_mean or subtract_momentum:
+            squares = np.square(coeffs.view(np.float64))
+        if subtract_mean:
+            mu = np.add.reduce(squares, axis=-1, keepdims=True)
+            term = (sign * mu) * (deriv * coeffs)
+            np.subtract(cubic, term, out=cubic, where=mean_rows)
+        if subtract_momentum:
+            mom = np.add.reduce(paired_nvec * squares, axis=-1, keepdims=True)
+            term = 1j * (sign * mom) * coeffs
+            np.subtract(cubic, term, out=cubic, where=momentum_rows)
+        return cubic
+
+    return rhs

@@ -14,11 +14,14 @@ from conftest import (
     decompose_nonlinearity,
     oracle_cubic,
     random_state,
+    reference_rhs_builder,
     stdout_per_blas_thread_count,
 )
+from mkdvlab import dynamics
 from mkdvlab.dynamics import (
     EquationSpec,
     Trajectory,
+    _rhs_builder,
     _solve_each,
     j1_multiplier_sum,
     nonlinearity,
@@ -282,6 +285,35 @@ def test_large_batch_members_match_solo_bitwise():
         assert_same_trajectory(got, solve(state, equation, 1e-4, 3e-4, 1))
 
 
+@pytest.mark.parametrize("cap, members", [
+    (32, [("mkdv", 1), ("mkdv1", -1), ("mkdv2", 1)]),
+    (64, [("mkdv", 1)]),
+    (64, [("mkdv", -1)]),
+    (512, [("mkdv2", 1)]),
+], ids=["32-mixed", "64-plus", "64-minus", "512-mkdv2"])
+def test_stepper_matches_reference_rhs_bitwise(monkeypatch, cap, members):
+    # 200 IF-RK4 steps on the production right-hand side and on the
+    # reference one built on public scipy.fft
+    base = preset_state(cap, "random_smooth:1.5,3")
+    states = [base.with_(coeffs=base.coeffs * (1.0 + 0.5 * b)) for b in range(len(members))]
+    equations = [EquationSpec(*member) for member in members]
+    got = solve_many(states, equations, 1e-4, 0.02, 1)
+    monkeypatch.setattr(dynamics, "_rhs_builder", reference_rhs_builder)
+    want = solve_many(states, equations, 1e-4, 0.02, 1)
+    for a, b in zip(got, want):
+        assert isinstance(a, Trajectory) and len(a) == 201
+        assert_same_trajectory(a, b)
+
+
+def test_rhs_returns_a_fresh_array_per_call():
+    rhs = _rhs_builder(16, (EquationSpec("mkdv2", 1),))
+    first = rhs(preset_state(16, "random_smooth:1.5,3").coeffs[None])
+    kept = first.copy()
+    second = rhs(preset_state(16, "random_smooth:1.2,7").coeffs[None])
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == kept.tobytes()
+
+
 def test_batch_abort_leaves_neighbours_unchanged():
     # at the shared dt, amplitude 35.6 blows up in step 3 and the NaN state
     # is non-finite at step 1; their neighbours run to the end
@@ -332,6 +364,20 @@ def test_solve_many_validation():
         solve_many([state, preset_state(5, "plane_wave:1,0.5,0")], [eq, eq], 1e-3, 0.01)
     with pytest.raises(ValueError):
         solve_many([state], [eq], 3e-3, 0.01)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_start_times_are_checked_before_stepping(monkeypatch, bad):
+    def no_stepper(*args):
+        raise AssertionError("a stepper was built")
+
+    monkeypatch.setattr(dynamics, "_ifrk4_stepper", no_stepper)
+    state = preset_state(64, "random_smooth:1.5,0")
+    eq = EquationSpec("mkdv", 1)
+    with pytest.raises(ValueError, match=r"^states\[1\]\.time must be finite"):
+        solve_many([state, state.with_(time=bad)], [eq, eq], 1e-4, 0.05)
+    with pytest.raises(ValueError, match=r"^states\[0\]\.time must be finite"):
+        solve(state.with_(time=bad), eq, 1e-4, 0.05)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -10,6 +10,7 @@ from mkdvlab.errors import AliasingError
 from mkdvlab.spectral import (
     FourierState,
     _next_fast_len,
+    _spread_modes,
     conjugate_state,
     padded_grid_size,
     project_high,
@@ -110,6 +111,29 @@ def test_projection_validation():
 def test_padded_grid_resolves_cubic():
     for cap in (1, 4, 16, 100, 512):
         assert padded_grid_size(cap) >= 4 * cap + 1
+
+
+@pytest.mark.parametrize("cap", [8, 32, 64, 128, 512])
+@pytest.mark.parametrize("lead", [(1,), (3,), (2, 1), (2, 3)])
+def test_direct_pocketfft_calls_match_scipy_fft_bitwise(cap, lead):
+    # the stepper and synthesis call scipy's private pocketfft binding as
+    # scipy.fft.ifft and fft(overwrite_x=True) do; a scipy that changes the
+    # binding fails here
+    from scipy.fft._pocketfft import pypocketfft
+
+    num_points = padded_grid_size(cap)
+    rng = np.random.default_rng(cap)
+    shape = lead + (num_points,)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    inverse = pypocketfft.c2c(x, (-1,), False, 2, None, 1)
+    assert inverse.tobytes() == sfft.ifft(x).tobytes()
+    forward = x.copy()
+    assert pypocketfft.c2c(forward, (-1,), True, 0, forward, 1) is forward
+    assert forward.tobytes() == sfft.fft(x.copy(), overwrite_x=True).tobytes()
+    coeffs = x[..., : 2 * cap + 1]
+    spread = _spread_modes(coeffs, cap, np.zeros(shape, dtype=np.complex128))
+    want = sfft.ifft(spread, overwrite_x=True) * num_points
+    assert synthesis(coeffs, cap, num_points).tobytes() == want.tobytes()
 
 
 def test_next_fast_len_matches_scipy():
