@@ -65,8 +65,14 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _fresh_out(out) -> pathlib.Path:
-    """The output directory, refused if it already holds a run's manifest."""
+    """The output directory, refused if it already holds a run's manifest
+    or if it, or the nearest existing path above it, is not a directory."""
     out = pathlib.Path(out)
+    nearest = next(path for path in (out, *out.parents) if path.exists())
+    if not nearest.is_dir():
+        where = "is" if nearest == out else f"lies under {str(nearest)!r}, which is"
+        raise ConfigError(f"output directory {str(out)!r} {where} not a directory; "
+                          "choose another --out")
     if (out / "manifest.json").exists():
         raise ConfigError(f"output directory {str(out)!r} already holds a run "
                           "(manifest.json); choose another --out")
@@ -279,6 +285,9 @@ def main(argv=None) -> None:
         sys.exit(1)
     except FileNotFoundError as exc:
         click.echo(f"missing path: {exc}", err=True)
+        sys.exit(1)
+    except (NotADirectoryError, IsADirectoryError) as exc:
+        click.echo(f"wrong kind of path: {exc}", err=True)
         sys.exit(1)
     except SolverAbort as exc:
         click.echo(f"numerical abort: {exc}", err=True)

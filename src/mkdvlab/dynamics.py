@@ -28,7 +28,6 @@ from .norms import NormSpec, _row_mass, fl_norm, japanese_bracket
 from .spectral import (
     FourierState,
     _next_fast_len,
-    _spread_modes,
     padded_grid_size,
     synthesis,
 )
@@ -146,10 +145,13 @@ _SUBTRACTS = {"mkdv": (False, False), "mkdv1": (True, False), "mkdv2": (True, Tr
 def _rhs_builder(cap: int, equations: Sequence[EquationSpec]):
     """Signed right-hand side on a (B, 2M+1) stack, row b under equations[b].
 
-    Rows never mix: every FFT, product and reduction works row by row, so
-    a row's value does not depend on the other rows or on B.  The scalars
-    mu and P(u) are computed only when some row subtracts them, and only
-    those rows are changed.  The sign is folded into the FFT scale and the
+    The equations must be grouped by variant, in the order of VARIANTS, so
+    that the rows subtracting the mean transport, and those subtracting
+    the momentum phase, are each a tail of the stack.  Rows never mix:
+    every FFT, product and reduction works row by row, so a row's value
+    does not depend on the other rows or on B.  Each per-mode factor is a
+    full (B, 2M+1) array, so that numpy combines it with the stack in its
+    same-shape loop.  The sign is folded into the FFT scale and the
     scalars; multiplying by -1 is exact, so that costs no rounding.
     """
     # Imported by the first stepper built, not with this module.  rhs calls
@@ -157,54 +159,57 @@ def _rhs_builder(cap: int, equations: Sequence[EquationSpec]):
     # their dispatch, looking c2c up per call so a wrapper on it sees them all
     from scipy.fft._pocketfft import pypocketfft
 
-    num_points = padded_grid_size(cap)
-    # per-mode factors are (1, L) rows, which numpy combines with a B = 1
-    # stack faster than (L,) vectors
-    nvec = np.arange(-cap, cap + 1).astype(np.float64)[None]
-    deriv = 1j * nvec
-    paired_nvec = np.repeat(nvec, 2, axis=-1)
+    ranks = [VARIANTS.index(eq.variant) for eq in equations]
+    if ranks != sorted(ranks):
+        raise ValueError("equations must be grouped by variant, in the order "
+                         + ", ".join(VARIANTS))
+    # the first row that subtracts the mean transport, and the first that
+    # subtracts the momentum phase
+    mean_start, momentum_start = (
+        sum(not subtracts for subtracts in column)
+        for column in zip(*(_SUBTRACTS[eq.variant] for eq in equations))
+    )
+    rows, width, num_points = len(equations), 2 * cap + 1, padded_grid_size(cap)
+    nvec = np.arange(-cap, cap + 1).astype(np.float64)
+    deriv = np.tile(1j * nvec, (rows, 1))
+    paired_nvec = np.tile(np.repeat(nvec, 2), (rows - momentum_start, 1))
     # complex, so that the products with complex arrays below need no cast
     sign = np.array([[complex(eq.sign)] for eq in equations])
-    signed_scale = sign * (float(num_points) * float(num_points))
-    # where= masks of the rows that subtract each term; True when every row
-    # does, which lets numpy run its faster unmasked loop
-    mean_rows, momentum_rows = (
-        True if rows.all() else rows
-        for rows in np.array([_SUBTRACTS[eq.variant] for eq in equations]).T[:, :, None]
-    )
-    subtract_mean = bool(np.any(mean_rows))
-    subtract_momentum = bool(np.any(momentum_rows))
-    # u_hat and (in) u_hat on the padded grid; the band between M and K-M
-    # stays zero
-    spread = np.zeros((2, len(equations), num_points), dtype=np.complex128)
+    signed_scale = np.tile(sign * (float(num_points) * float(num_points)), width)
+    mean_sign, momentum_sign = sign[mean_start:], sign[momentum_start:]
+    # u_hat and (in) u_hat side by side, and on the padded grid, where the
+    # band between M and K-M stays zero
+    pair = np.empty((2, rows, width), dtype=np.complex128)
+    coeffs_copy, coeffs_dx = pair
+    spread = np.zeros((2, rows, num_points), dtype=np.complex128)
     # conj(u), then u conj(u) u_x (operands in the formula's order, which
     # the rounding depends on) and its transform, in place
     product = np.empty(spread.shape[1:], dtype=np.complex128)
-    low, high = slice(num_points - cap, None), slice(None, cap + 1)
+    low, high = product[:, num_points - cap :], product[:, : cap + 1]
 
     def rhs(coeffs: np.ndarray) -> np.ndarray:
-        coeffs_dx = deriv * coeffs
-        _spread_modes(coeffs, cap, spread[0])
-        _spread_modes(coeffs_dx, cap, spread[1])
+        np.copyto(coeffs_copy, coeffs)
+        np.multiply(deriv, coeffs, out=coeffs_dx)
+        spread[..., : cap + 1] = pair[..., cap:]
+        spread[..., num_points - cap :] = pair[..., :cap]
         phys, phys_dx = pypocketfft.c2c(spread, (-1,), False, 2, None, 1)
         np.multiply(phys, np.conj(phys, out=product), out=product)
         np.multiply(product, phys_dx, out=product)
         pypocketfft.c2c(product, (-1,), True, 0, product, 1)
         # a fresh array per call: the stepper keeps k1..k4
-        cubic = np.empty_like(coeffs_dx)
-        np.multiply(product[:, low], signed_scale, out=cubic[:, :cap])
-        np.multiply(product[:, high], signed_scale, out=cubic[:, cap:])
-        if subtract_mean or subtract_momentum:
+        cubic = np.concatenate((low, high), axis=-1)
+        np.multiply(cubic, signed_scale, out=cubic)
+        if mean_start < rows:
             # re^2 and im^2 of every mode, side by side in each row
-            squares = np.square(coeffs.view(np.float64))
-        if subtract_mean:
+            squares = np.square(coeffs_copy[mean_start:].view(np.float64))
             mu = np.add.reduce(squares, axis=-1, keepdims=True)
-            term = (sign * mu) * coeffs_dx
-            np.subtract(cubic, term, out=cubic, where=mean_rows)
-        if subtract_momentum:
-            mom = np.add.reduce(paired_nvec * squares, axis=-1, keepdims=True)
-            term = 1j * (sign * mom) * coeffs
-            np.subtract(cubic, term, out=cubic, where=momentum_rows)
+            term = (mean_sign * mu) * coeffs_dx[mean_start:]
+            np.subtract(cubic[mean_start:], term, out=cubic[mean_start:])
+        if momentum_start < rows:
+            squares = squares[momentum_start - mean_start :]
+            mom = np.add.reduce(np.multiply(paired_nvec, squares), axis=-1, keepdims=True)
+            term = 1j * (momentum_sign * mom) * coeffs_copy[momentum_start:]
+            np.subtract(cubic[momentum_start:], term, out=cubic[momentum_start:])
         return cubic
 
     return rhs
@@ -309,13 +314,22 @@ def _ifrk4_stepper(cap: int, equations: Sequence[EquationSpec], dt: float):
     Works on w = S(-t) u_hat, re-referenced to the step start, so the
     linear phases are applied exactly and only the cubic term is sampled.
     The mkdv2 momentum scalar is recomputed at every stage inside rhs.
+    The equations must be grouped by variant, as rhs requires.  Every
+    propagator and step factor is a full (B, 2M+1) array, so that each
+    elementwise call runs numpy's same-shape loop.
     """
     rhs = _rhs_builder(cap, equations)
-    ncube = np.arange(-cap, cap + 1).astype(np.float64)[None] ** 3
-    half_prop = np.exp(1j * ncube * (dt / 2.0))
+    shape = (len(equations), 2 * cap + 1)
+    ncube = np.arange(-cap, cap + 1).astype(np.float64) ** 3
+    half_prop = np.tile(np.exp(1j * ncube * (dt / 2.0)), (shape[0], 1))
     full_prop = half_prop * half_prop
     half_back = np.conj(half_prop)
     full_back = np.conj(full_prop)
+    # the step factors, complex as numpy makes a Python float to multiply
+    # a complex array
+    half_dt, full_dt, sixth_dt, two = (
+        np.full(shape, complex(factor)) for factor in (dt / 2.0, dt, dt / 6.0, 2.0)
+    )
 
     def stage(u, k, factor, prop):
         # prop * (u + factor * k) in one new array, operands in the order
@@ -326,18 +340,18 @@ def _ifrk4_stepper(cap: int, equations: Sequence[EquationSpec], dt: float):
 
     def advance(u: np.ndarray) -> np.ndarray:
         k1 = rhs(u)
-        k2 = rhs(stage(u, k1, dt / 2.0, half_prop))
+        k2 = rhs(stage(u, k1, half_dt, half_prop))
         np.multiply(half_back, k2, out=k2)
-        k3 = rhs(stage(u, k2, dt / 2.0, half_prop))
+        k3 = rhs(stage(u, k2, half_dt, half_prop))
         np.multiply(half_back, k3, out=k3)
-        k4 = rhs(stage(u, k3, dt, full_prop))
+        k4 = rhs(stage(u, k3, full_dt, full_prop))
         np.multiply(full_back, k4, out=k4)
         # full_prop * (u + (dt/6) (k1 + 2 (k2 + k3) + k4))
         k2 += k3
-        np.multiply(2.0, k2, out=k2)
+        np.multiply(two, k2, out=k2)
         np.add(k1, k2, out=k2)
         k2 += k4
-        return stage(u, k2, dt / 6.0, full_prop)
+        return stage(u, k2, sixth_dt, full_prop)
 
     return advance
 
@@ -459,13 +473,14 @@ def solve_many(
     """``solve`` for several members at once, stepped as one (B, 2M+1) stack.
 
     Member b starts from states[b] under equations[b]; all members share
-    mode_cap, dt, horizon and save_every.  Rows never mix, so each member's
-    trajectory is bitwise the one it gets when solved alone.  The checks
-    stay per member: the stability warning (issued in member order), the
-    finite check and the 1% mass-drift abort.  An aborting member's row is
-    zeroed and frozen while the others go on; its entry in the returned
-    list is the SolverAbort, with the partial trajectory, that ``solve``
-    raises for it.
+    mode_cap, dt, horizon and save_every.  The stack holds the members
+    grouped by variant (a stable sort); the results come back in member
+    order.  Rows never mix, so each member's trajectory is bitwise the one
+    it gets when solved alone.  The checks stay per member: the stability
+    warning (issued in member order), the finite check and the 1%
+    mass-drift abort.  An aborting member's row is zeroed and frozen while
+    the others go on; its entry in the returned list is the SolverAbort,
+    with the partial trajectory, that ``solve`` raises for it.
     """
     states = tuple(states)
     equations = tuple(equations)
@@ -508,6 +523,12 @@ def solve_many(
             "warnings": tuple(meta_warnings),
         })
 
+    # the stack holds the members grouped by variant, as rhs requires: row r
+    # is member order[r], and the results go back to member order at the end
+    order = sorted(range(len(states)), key=lambda b: VARIANTS.index(equations[b].variant))
+    states, equations, metadata = (
+        [members[b] for b in order] for members in (states, equations, metadata)
+    )
     advance = _ifrk4_stepper(cap, equations, dt)
     current = np.array([st.coeffs for st in states])
     saved = [[st] for st in states]
@@ -550,7 +571,7 @@ def solve_many(
                 saved[row].append(FourierState(current[row], cap, starts[row] + k * dt))
     for row in live:
         results[row] = partial(row)
-    return results
+    return [result for _, result in sorted(zip(order, results), key=lambda pair: pair[0])]
 
 
 def residual_check(

@@ -104,12 +104,22 @@ class ExperimentReport:
         return all(v.passed for v in self.verdicts)
 
     def to_dict(self) -> dict:
-        payload = dataclasses.asdict(self)
-        for series in payload["series"].values():
-            series["rows"] = [list(row) for row in series["rows"]]
-        for verdict in payload["verdicts"]:
-            verdict["threshold_value"] = self.parameters[verdict["threshold_key"]]
-        return {**payload, "all_passed": self.all_passed}
+        """The report.json payload, built without copying the values it holds."""
+        return {
+            "name": self.name,
+            "parameters": self.parameters,
+            "series": {
+                key: {"xlabel": s.xlabel, "ylabel": s.ylabel, "rows": list(map(list, s.rows))}
+                for key, s in self.series.items()
+            },
+            "scalars": self.scalars,
+            "verdicts": [
+                {**vars(v), "threshold_value": self.parameters[v.threshold_key]}
+                for v in self.verdicts
+            ],
+            "provenance": self.provenance,
+            "all_passed": self.all_passed,
+        }
 
 
 def write_report(report: ExperimentReport, directory) -> None:

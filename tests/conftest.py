@@ -3,9 +3,10 @@
 The oracles recompute spectral quantities straight from the definitions
 (direct quadrature sums and the brute-force resonance decomposition, no
 FFT anywhere), giving every transform-based result in the package a
-second, structurally different route to agree with.  One exception,
-``reference_rhs_builder``, is a bitwise reference rather than an
-independent route: the right-hand side as written on public scipy.fft.
+second, structurally different route to agree with.  Two exceptions,
+``reference_rhs_builder`` and ``reference_ifrk4_stepper``, are bitwise
+references rather than independent routes: the right-hand side as written
+on public scipy.fft, and the step as written on broadcast operands.
 """
 
 import dataclasses
@@ -224,3 +225,39 @@ def reference_rhs_builder(cap, equations):
         return cubic
 
     return rhs
+
+
+def reference_ifrk4_stepper(cap, equations, dt):
+    """``mkdvlab.dynamics._ifrk4_stepper`` as it was on broadcast operands:
+    (1, 2M+1) propagator rows, Python-float step factors, and the reference
+    right-hand side, which takes the equations in any order.  Every
+    operation and operand order of the production step, so the two must
+    agree bitwise.
+    """
+    rhs = reference_rhs_builder(cap, equations)
+    ncube = np.arange(-cap, cap + 1).astype(np.float64)[None] ** 3
+    half_prop = np.exp(1j * ncube * (dt / 2.0))
+    full_prop = half_prop * half_prop
+    half_back = np.conj(half_prop)
+    full_back = np.conj(full_prop)
+
+    def stage(u, k, factor, prop):
+        out = np.multiply(factor, k)
+        out += u
+        return np.multiply(prop, out, out=out)
+
+    def advance(u):
+        k1 = rhs(u)
+        k2 = rhs(stage(u, k1, dt / 2.0, half_prop))
+        np.multiply(half_back, k2, out=k2)
+        k3 = rhs(stage(u, k2, dt / 2.0, half_prop))
+        np.multiply(half_back, k3, out=k3)
+        k4 = rhs(stage(u, k3, dt, full_prop))
+        np.multiply(full_back, k4, out=k4)
+        k2 += k3
+        np.multiply(2.0, k2, out=k2)
+        np.add(k1, k2, out=k2)
+        k2 += k4
+        return stage(u, k2, dt / 6.0, full_prop)
+
+    return advance

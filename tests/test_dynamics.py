@@ -14,6 +14,7 @@ from conftest import (
     decompose_nonlinearity,
     oracle_cubic,
     random_state,
+    reference_ifrk4_stepper,
     reference_rhs_builder,
     stdout_per_blas_thread_count,
 )
@@ -305,6 +306,28 @@ def test_stepper_matches_reference_rhs_bitwise(monkeypatch, cap, members):
         assert_same_trajectory(a, b)
 
 
+@pytest.mark.parametrize("cap, members", [
+    (16, [("mkdv2", 1), ("mkdv", -1), ("mkdv1", 1), ("mkdv", 1)]),
+    (32, [("mkdv2", 1), ("mkdv", -1), ("mkdv1", 1), ("mkdv", 1)]),
+    (512, [("mkdv2", 1)]),
+], ids=["16-unsorted", "32-unsorted", "512-mkdv2"])
+def test_step_matches_reference_stepper_bitwise(monkeypatch, cap, members):
+    # 200 IF-RK4 steps on the production stepper, which takes full-shape
+    # operands and rows grouped by variant, and on the reference stepper,
+    # which takes broadcast operands and rows in any order
+    base = preset_state(cap, "random_smooth:1.5,3")
+    states = [base.with_(coeffs=base.coeffs * (1.0 + 0.5 * b)) for b in range(len(members))]
+    equations = [EquationSpec(*member) for member in members]
+    got = solve_many(states, equations, 1e-4, 0.02, 1)
+    monkeypatch.setattr(dynamics, "_ifrk4_stepper", reference_ifrk4_stepper)
+    want = solve_many(states, equations, 1e-4, 0.02, 1)
+    for a, b, state, equation in zip(got, want, states, equations):
+        assert isinstance(a, Trajectory) and len(a) == 201
+        assert a.equation == equation
+        assert a.initial.coeffs.tobytes() == state.coeffs.tobytes()
+        assert_same_trajectory(a, b)
+
+
 def test_rhs_returns_a_fresh_array_per_call():
     rhs = _rhs_builder(16, (EquationSpec("mkdv2", 1),))
     first = rhs(preset_state(16, "random_smooth:1.5,3").coeffs[None])
@@ -316,23 +339,45 @@ def test_rhs_returns_a_fresh_array_per_call():
 
 def test_batch_abort_leaves_neighbours_unchanged():
     # at the shared dt, amplitude 35.6 blows up in step 3 and the NaN state
-    # is non-finite at step 1; their neighbours run to the end
+    # is non-finite at step 1; their neighbours run to the end.  Neither
+    # member order is grouped by variant, as the stack's rows are
     base = preset_state(16, "random_smooth:1.2,7")
     nan_state = base.with_(coeffs=np.full_like(base.coeffs, np.nan))
-    states = [base, base.with_(coeffs=base.coeffs * 35.6), nan_state,
-              base.with_(coeffs=base.coeffs * 0.5)]
-    equations = [EquationSpec("mkdv2", 1), EquationSpec("mkdv", 1),
-                 EquationSpec("mkdv1", -1), EquationSpec("mkdv", -1)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", StabilityWarning)
-        batch = solve_many(states, equations, 1e-3, 0.01, 1)
-        alone = [solo(*member, 1e-3, 0.01, 1) for member in zip(states, equations)]
-    assert [type(r) for r in batch] == [Trajectory, SolverAbort, SolverAbort, Trajectory]
-    assert "mass drifted" in str(batch[1]) and "(step 3)" in str(batch[1])
-    assert len(batch[1].partial) == 3
-    assert str(batch[2]).startswith("non-finite state at t = 0.001 (step 1)")
-    for got, want in zip(batch, alone):
-        assert_same_outcome(got, want)
+    members = [
+        (base, EquationSpec("mkdv2", 1), Trajectory),
+        (base.with_(coeffs=base.coeffs * 35.6), EquationSpec("mkdv", 1), SolverAbort),
+        (nan_state, EquationSpec("mkdv1", -1), SolverAbort),
+        (base.with_(coeffs=base.coeffs * 0.5), EquationSpec("mkdv", -1), Trajectory),
+    ]
+    for order in ((0, 1, 2, 3), (2, 0, 3, 1)):
+        states, equations, kinds = zip(*(members[i] for i in order))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StabilityWarning)
+            batch = solve_many(states, equations, 1e-3, 0.01, 1)
+            alone = [solo(*member, 1e-3, 0.01, 1) for member in zip(states, equations)]
+        assert [type(r) for r in batch] == list(kinds)
+        blown, nan_abort = (batch[order.index(i)] for i in (1, 2))
+        assert "mass drifted" in str(blown) and "(step 3)" in str(blown)
+        assert len(blown.partial) == 3
+        assert str(nan_abort).startswith("non-finite state at t = 0.001 (step 1)")
+        for got, state, equation in zip(batch, states, equations):
+            traj = got.partial if isinstance(got, SolverAbort) else got
+            assert traj.equation == equation
+            assert traj.initial.coeffs.tobytes() == state.coeffs.tobytes()
+        for got, want in zip(batch, alone):
+            assert_same_outcome(got, want)
+
+
+def test_rhs_refuses_ungrouped_equations():
+    # signs may come in any order within a variant's group
+    grouped = [EquationSpec(v, s) for v, s in (("mkdv", -1), ("mkdv", 1), ("mkdv1", 1),
+                                                 ("mkdv2", -1), ("mkdv2", 1))]
+    _rhs_builder(8, grouped)
+    mkdv, mkdv1, mkdv2 = grouped[0], grouped[2], grouped[4]
+    for ungrouped in (grouped[::-1], [mkdv1, mkdv], [mkdv, mkdv2, mkdv1],
+                      [mkdv2, mkdv2, mkdv], [mkdv, mkdv1, mkdv, mkdv1]):
+        with pytest.raises(ValueError, match="grouped by variant"):
+            _rhs_builder(8, ungrouped)
 
 
 def test_batch_warns_in_member_order():

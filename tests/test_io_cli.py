@@ -278,7 +278,7 @@ def test_cli_rejects_malformed_config(tmp_path):
     assert run_cli("solve", "--config", str(unknown), "--out", "x") == 1
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     # usage error: missing required ic
     assert run_cli(
         "solve", "--eq", "mkdv", "--out", str(tmp_path / "a")
@@ -318,6 +318,33 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert "nowhere" in err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+    # a regular file where a directory is wanted, or a directory where a
+    # file is: a used --out is refused before any work starts, and an input
+    # gives one line naming it
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(mkdvlab.dynamics, "solve", no_work)
+    monkeypatch.setattr(mkdvlab.cli, "run_experiment", no_work)
+    for argv, named in (
+        (("solve", "--ic", "zero", "--out", str(a_file)), a_file),
+        (("solve", "--ic", "zero", "--out", str(a_file / "sub")), a_file),
+        (("experiment", "conservation", "--out", str(a_file)), a_file),
+        (("gauge", "--traj", str(tmp_path / "d"), "--out", str(a_file)), a_file),
+        (("gauge", "--traj", str(a_file), "--out", str(tmp_path / "e")), a_file),
+        (("norms", "--state", str(tmp_path)), tmp_path),
+        (("norms", "--state", str(a_file / "state.csv")), a_file),
+    ):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert str(named) in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+    monkeypatch.undo()
+    assert a_file.read_text() == ""
     # manifests with a gauge record missing its sign or with metadata that is
     # not an object, one without dt, a JSON state without mode_cap: one line
     # naming the file and the field, no traceback

@@ -31,6 +31,9 @@ def experiment(name, tag, *sets):
 
 
 COMMANDS = [experiment(name, "") for name in NAMES] + [
+    # members listed out of variant order, which solve_many regroups
+    experiment("conservation", "_unsorted", "variants=mkdv2,mkdv,mkdv1", "seeds=0,1",
+               "T=0.2"),
     experiment("nonexistence", "_t0.01", "T=0.01", "save_points=2"),
     experiment("nonexistence", "_reduced", *REDUCED),
     experiment("nonexistence", "_neg_schedule", *REDUCED, "schedule=-4,16"),
