@@ -316,16 +316,55 @@ def _window_pairing(states, span: float, mode: int) -> float:
     return float(2.0 * np.pi * dt * abs(np.sum(window * values)))
 
 
-def _pseries_block_ratio(exponent: float, blocks: int = 12) -> float:
+def _pseries_block_ratio(exponent: float) -> float:
     """Tail behavior of sum n^{-exponent} via consecutive dyadic block sums.
 
+    The sum over [2^11, 2^12) is divided by the sum over [2^10, 2^11).
     Block sums scale like 2^{k(1 - exponent)}, so a limiting ratio below 1
     certifies convergence by geometric comparison and a ratio >= 1 certifies
     divergence; the numeric ratio replaces trusting the exponent algebra.
     """
-    lo = np.arange(2 ** (blocks - 2), 2 ** (blocks - 1), dtype=np.float64)
-    hi = np.arange(2 ** (blocks - 1), 2**blocks, dtype=np.float64)
+    lo = np.arange(2**10, 2**11, dtype=np.float64)
+    hi = np.arange(2**11, 2**12, dtype=np.float64)
     return float(np.sum(hi**-exponent) / np.sum(lo**-exponent))
+
+
+def _at_most(opt, name: str, observed, key: str, note: str = "") -> VerdictRecord:
+    """Passes when ``observed`` is at most the config value under ``key``."""
+    return VerdictRecord(name, observed <= getattr(opt, key), observed, key, note)
+
+
+def _at_least(opt, name: str, observed, key: str, note: str = "") -> VerdictRecord:
+    """Passes when ``observed`` is at least the config value under ``key``."""
+    return VerdictRecord(name, observed >= getattr(opt, key), observed, key, note)
+
+
+def _stable_schedule(state, horizon: float, save_points: int, dt_cap: float):
+    """``phase_schedule`` under the smaller of ``dt_cap`` and the state's stable dt."""
+    return phase_schedule(horizon, min(stability_dt_limit(state), dt_cap), save_points)
+
+
+def _cutoff_ladder(arms, sign: int, horizon: float, save_points: int, dt_cap: float):
+    """mkdv2 solves from P_{<=N} u0 for each arm ``(u0, cutoffs)`` and cutoff N.
+
+    Every job of every arm, in arm order, goes through one ``_solve_each``
+    call.  Returns, per arm, one ``(v_N trajectory, u_N states, P_N)`` per
+    cutoff, where P_N is the truncation's momentum and u_N = e^{+i sign P_N t}
+    v_N undoes the G2 gauge.
+    """
+    equation = EquationSpec("mkdv2", sign)
+    truncations = [project_low(u0, N) for u0, cutoffs in arms for N in cutoffs]
+    jobs = []
+    for state in truncations:
+        dt, save_every = _stable_schedule(state, horizon, save_points, dt_cap)
+        jobs.append((state, equation, dt, horizon, save_every))
+    runs = []
+    for state, trajectory in zip(truncations, _solve_each(jobs)):
+        rate = momentum(state)
+        u_states = invert_gauge(trajectory, GaugeSpec("G2", sign, rate)).states
+        runs.append((trajectory, u_states, rate))
+    runs = iter(runs)
+    return [[next(runs) for _ in cutoffs] for _, cutoffs in arms]
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +446,9 @@ def exp_conservation(opt) -> Findings:
         series[f"{variant}_fl_half_2"] = Series("t", "fl_norm", tuple(zip(times, fls)))
         scalars[f"{variant}_mass_drift"] = mass_drift
         scalars[f"{variant}_momentum_drift"] = mom_drift
+        verdicts.append(_at_most(opt, f"{variant}_mass_conserved", mass_drift, "drift_tol"))
         verdicts.append(
-            VerdictRecord(f"{variant}_mass_conserved", mass_drift <= opt.drift_tol,
-                          mass_drift, "drift_tol")
-        )
-        verdicts.append(
-            VerdictRecord(f"{variant}_momentum_conserved", mom_drift <= opt.drift_tol,
-                          mom_drift, "drift_tol")
+            _at_most(opt, f"{variant}_momentum_conserved", mom_drift, "drift_tol")
         )
 
     return series, scalars, verdicts
@@ -469,9 +504,7 @@ def exp_gauge_equivalence(opt) -> Findings:
     }
     scalars = {f"sup_{key}": float(np.max(values)) for key, values in gaps.items()}
     verdicts = tuple(
-        VerdictRecord(f"{key}_small", scalars[f"sup_{key}"] <= opt.gap_tol,
-                      scalars[f"sup_{key}"], "gap_tol")
-        for key in ("gauge1_gap", "gauge2_gap", "composed_gap")
+        _at_most(opt, f"{key}_small", scalars[f"sup_{key}"], "gap_tol") for key in gaps
     )
     return series, scalars, verdicts
 
@@ -557,50 +590,25 @@ def exp_nonexistence(opt) -> Findings:
             f"has block ratio {divergence_ratio:.4f} < 1"
         )
 
-    equation = EquationSpec("mkdv2", sign)
-
-    def prepare(cap, cutoff, symmetric):
-        base = preset_state(cap, f"one_sided:{fmt17(alpha)}")
-        truncated = project_low(base, cutoff)
-        if symmetric:
-            # real-valued control: mirror the coefficients, momentum cancels
-            truncated = truncated.with_(
-                coeffs=opt.control_scale
-                * (truncated.coeffs + conjugate_state(truncated).coeffs)
-            )
-        rate = momentum(truncated)
-        # the largest stable dt (at most dt_cap) that lands saves on T*k/save_points
-        dt_limit = stability_dt_limit(truncated)
-        if opt.dt_cap > 0.0:
-            dt_limit = min(dt_limit, opt.dt_cap)
-        dt, save_every = phase_schedule(opt.T, dt_limit, opt.save_points)
-        return rate, (truncated, equation, dt, opt.T, save_every)
-
-    def finish(trajectory, rate):
-        u_states = invert_gauge(trajectory, GaugeSpec("G2", sign, rate)).states
-        pairing = _window_pairing(u_states, opt.T, opt.pairing_mode)
-        return trajectory, u_states, rate, pairing
-
-    # every cutoff, main and control, is an independent solve
-    prepared = [prepare(opt.modes, N, False) for N in schedule] + [
-        prepare(opt.control_modes, N, True) for N in control_schedule
-    ]
-    trajectories = _solve_each([job for _, job in prepared])
-    runs = [finish(traj, rate) for traj, (rate, _) in zip(trajectories, prepared)]
-    main_runs, control_runs = runs[: len(schedule)], runs[len(schedule) :]
-
-    v_gaps = []
-    u_gaps = []
-    last_pair_gap_rows = None
-    for (traj_a, u_a, _, _), (traj_b, u_b, _, _) in zip(main_runs, main_runs[1:]):
-        v_gaps.append(max(_fl_gaps(traj_a.states, traj_b.states, cauchy_spec)))
-        per_time = _fl_gaps(u_a, u_b, u_spec)
-        u_gaps.append(max(per_time))
-        last_pair_gap_rows = tuple(zip(traj_a.times, per_time))
-    vnorm_ref = max(
-        max(fl_norm(st, u_spec) for st in traj.states) for traj, _, _, _ in main_runs
+    # the control is real-valued data: mirrored coefficients, momentum cancels
+    data = f"one_sided:{fmt17(alpha)}"
+    u0, c0 = preset_state(opt.modes, data), preset_state(opt.control_modes, data)
+    control = c0.with_(coeffs=opt.control_scale * (c0.coeffs + conjugate_state(c0).coeffs))
+    main_runs, control_runs = _cutoff_ladder(
+        [(u0, schedule), (control, control_schedule)], sign, opt.T, opt.save_points,
+        opt.dt_cap or math.inf,
     )
-    pairings = [pairing for _, _, _, pairing in main_runs]
+    v_trajs, u_states, rates = zip(*main_runs)
+    control_trajs, control_u, control_rates = zip(*control_runs)
+
+    v_gaps = [
+        max(_fl_gaps(a.states, b.states, cauchy_spec))
+        for a, b in zip(v_trajs, v_trajs[1:])
+    ]
+    u_gap_rows = [_fl_gaps(a, b, u_spec) for a, b in zip(u_states, u_states[1:])]
+    u_gaps = [max(per_time) for per_time in u_gap_rows]
+    vnorm_ref = max(max(fl_norm(st, u_spec) for st in traj.states) for traj in v_trajs)
+    pairings = [_window_pairing(u, opt.T, opt.pairing_mode) for u in u_states]
 
     # momentum divergence, on the ideal coefficient rule
     def rule(n: int) -> complex:
@@ -614,15 +622,14 @@ def exp_nonexistence(opt) -> Findings:
                 np.sum(np.arange(1, N + 1, dtype=np.float64) ** (1.0 - 2.0 * alpha))
             )
         )
-        for (_, _, rate, _), N in zip(main_runs, schedule)
+        for rate, N in zip(rates, schedule)
     )
 
-    control_mom_max = max(abs(rate) for _, _, rate, _ in control_runs)
+    control_mom_max = max(abs(rate) for rate in control_rates)
     control_gauge_gap = max(
-        max(_fl_gaps(traj.states, u_states, u_spec))
-        for traj, u_states, _, _ in control_runs
+        max(_fl_gaps(traj.states, u, u_spec)) for traj, u in zip(control_trajs, control_u)
     )
-    control_pairings = [pairing for _, _, _, pairing in control_runs]
+    control_pairings = [_window_pairing(u, opt.T, opt.pairing_mode) for u in control_u]
     control_pairing_ratio = control_pairings[-1] / max(control_pairings[0], 1e-300)
 
     v_ratio = min(v_gaps[0] / max(v_gaps[-1], 1e-300), 1e12)
@@ -632,15 +639,15 @@ def exp_nonexistence(opt) -> Findings:
     series = {
         "v_cauchy": Series("N", "sup_t_gap", tuple(zip(schedule[1:], v_gaps))),
         "u_cauchy": Series("N", "sup_t_gap", tuple(zip(schedule[1:], u_gaps))),
-        "u_gap_last_pair": Series("t", "fl_gap", last_pair_gap_rows),
+        "u_gap_last_pair": Series(
+            "t", "fl_gap", tuple(zip(v_trajs[-2].times, u_gap_rows[-1]))
+        ),
         "pairing": Series("N", "abs_pairing", tuple(zip(schedule, pairings))),
         "momentum_rule": Series(
             "N", "P_N", tuple((float(N), v) for N, v in diagnostic.truncations)
         ),
         "momentum_data": Series(
-            "N",
-            "P_N",
-            tuple((float(N), rate) for (_, _, rate, _), N in zip(main_runs, schedule)),
+            "N", "P_N", tuple((float(N), rate) for rate, N in zip(rates, schedule))
         ),
         "control_pairing": Series(
             "N", "abs_pairing", tuple(zip(control_schedule, control_pairings))
@@ -661,36 +668,30 @@ def exp_nonexistence(opt) -> Findings:
         "control_pairing_ratio": control_pairing_ratio,
     }
     verdicts = (
-        VerdictRecord(
-            "v_cauchy_shrinks", v_ratio >= opt.shrink_factor, v_ratio, "shrink_factor",
+        _at_least(
+            opt, "v_cauchy_shrinks", v_ratio, "shrink_factor",
             "first over last consecutive sup-t gap of the gauged solutions",
         ),
-        VerdictRecord(
-            "u_separation_persists", u_ratio >= opt.u_floor, u_ratio, "u_floor",
+        _at_least(
+            opt, "u_separation_persists", u_ratio, "u_floor",
             "smallest consecutive u_N gap over the solution norm scale",
         ),
-        VerdictRecord(
-            "pairing_decays", pairing_ratio <= opt.pairing_drop, pairing_ratio,
-            "pairing_drop", "largest-N pairing over smallest-N pairing",
+        _at_most(
+            opt, "pairing_decays", pairing_ratio, "pairing_drop",
+            "largest-N pairing over smallest-N pairing",
         ),
         VerdictRecord(
             "momentum_diverges", diagnostic.verdict == "diverging",
             diagnostic.verdict, "mom_tol",
             "limit diagnostic on the defining coefficient rule",
         ),
-        VerdictRecord(
-            "control_momentum_zero", control_mom_max <= opt.control_tol,
-            control_mom_max, "control_tol",
-        ),
-        VerdictRecord(
-            "control_gauge_trivial", control_gauge_gap <= opt.control_tol,
-            control_gauge_gap, "control_tol",
+        _at_most(opt, "control_momentum_zero", control_mom_max, "control_tol"),
+        _at_most(
+            opt, "control_gauge_trivial", control_gauge_gap, "control_tol",
             "u_N and v_N coincide when the data momentum vanishes",
         ),
-        VerdictRecord(
-            "control_pairing_persists",
-            control_pairing_ratio >= opt.control_pairing_floor,
-            control_pairing_ratio, "control_pairing_floor",
+        _at_least(
+            opt, "control_pairing_persists", control_pairing_ratio, "control_pairing_floor"
         ),
     )
     return series, scalars, verdicts
@@ -761,8 +762,7 @@ def exp_illposedness(opt) -> Findings:
         # nonlinear rotation rates fix the accuracy-driven step size
         rate_b = amp_b**2 * float(N) ** (1.0 - 2.0 * s)
         budget = (120.0 * (opt.agree_tol / 20.0) / (t_n * rate_b**5)) ** 0.25
-        dt_cap = min(budget, stability_dt_limit(data_b), t_n)
-        dt, save_every = phase_schedule(t_n, dt_cap, opt.save_points)
+        dt, save_every = _stable_schedule(data_b, t_n, opt.save_points, min(budget, t_n))
 
         traj_a, traj_b = raise_first_abort(solve_many(
             [data_a, data_b], [EquationSpec("mkdv", sign)] * 2, dt, t_n, save_every
@@ -810,23 +810,17 @@ def exp_illposedness(opt) -> Findings:
         "last_critical_time": t_ns[-1],
     }
     verdicts = (
-        VerdictRecord(
-            "initial_distances_decay", decay_dev <= opt.init_tol, decay_dev, "init_tol",
+        _at_most(
+            opt, "initial_distances_decay", decay_dev, "init_tol",
             "relative deviation of n * initial gap from its exact prefactor",
         ),
-        VerdictRecord(
-            "solutions_separate", min(analytic_gaps) >= opt.sep_floor,
-            min(analytic_gaps), "sep_floor",
-        ),
+        _at_least(opt, "solutions_separate", min(analytic_gaps), "sep_floor"),
         VerdictRecord(
             "critical_times_shrink", times_ok,
             "decreasing" if times_ok else "not decreasing", "N_rule",
             "t_n <= 1/n and strictly decreasing along n_list",
         ),
-        VerdictRecord(
-            "solver_matches_analytic", agreement <= opt.agree_tol, agreement,
-            "agree_tol",
-        ),
+        _at_most(opt, "solver_matches_analytic", agreement, "agree_tol"),
     )
     return series, scalars, verdicts
 
@@ -930,14 +924,8 @@ def exp_random_momentum(opt) -> Findings:
             "mean_vanishes", abs(sample_mean) <= opt.mean_se_factor * se_mean,
             abs(sample_mean) / max(se_mean, 1e-300), "mean_se_factor",
         ),
-        VerdictRecord(
-            "formula_matches_state", crosscheck_gap <= opt.crosscheck_tol,
-            crosscheck_gap, "crosscheck_tol",
-        ),
-        VerdictRecord(
-            "symmetric_control_vanishes", control_max <= opt.control_tol,
-            control_max, "control_tol",
-        ),
+        _at_most(opt, "formula_matches_state", crosscheck_gap, "crosscheck_tol"),
+        _at_most(opt, "symmetric_control_vanishes", control_max, "control_tol"),
     )
     return series, scalars, verdicts
 
@@ -1005,8 +993,8 @@ def exp_energy_drift(opt) -> Findings:
             )[0]
         )
         scalars["fitted_slope"] = slope
-        verdict = VerdictRecord(
-            "drift_decays_in_cutoff", slope <= opt.slope_max, slope, "slope_max",
+        verdict = _at_most(
+            opt, "drift_decays_in_cutoff", slope, "slope_max",
             "log-log slope over cutoffs above the noise floor; threshold is an "
             "artifact choice",
         )
@@ -1152,12 +1140,10 @@ def exp_multiplier_probe(opt) -> Findings:
                 worst_change = max(worst_change, change)
         scalars[f"sup_j1_{tag}"] = max(values[(s, p, n)][-1] for n in n_list)
         scalars[f"worst_change_{tag}"] = worst_change
-        verdicts.append(
-            VerdictRecord(
-                f"stabilized_{tag}", worst_change <= opt.stab_tol, worst_change,
-                "stab_tol", "largest relative change over the last two doublings",
-            )
-        )
+        verdicts.append(_at_most(
+            opt, f"stabilized_{tag}", worst_change, "stab_tol",
+            "largest relative change over the last two doublings",
+        ))
     return series, scalars, verdicts
 
 

@@ -189,8 +189,10 @@ def _field(payload: dict, key: str, convert, source):
 
 
 def _integer(value) -> int:
-    """``int(value)``, refusing booleans and numbers with a fractional part."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """``int(value)``, refusing booleans, strings and numbers with a fractional part."""
+    if isinstance(value, (bool, str)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
@@ -203,7 +205,7 @@ def _count(value) -> int:
 
 
 def _finite(value, low=-math.inf) -> float:
-    if not low < float(value) < math.inf:
+    if isinstance(value, (bool, str)) or not low < float(value) < math.inf:
         raise ValueError(f"{value!r} is not a finite number above {low}")
     return float(value)
 
@@ -270,7 +272,7 @@ def _metadata(value) -> dict:
     if not isinstance(value, dict):
         raise TypeError("metadata must be a JSON object")
     for record in value.get("gauges", []):
-        GaugeSpec.from_record(record)
+        GaugeSpec(record["which"], _integer(record["sign"]), _finite(record["scalar"]))
     return value
 
 
@@ -291,7 +293,7 @@ def trajectory_from_dir(directory) -> Trajectory:
     if manifest.get("equation"):
         equation = _field(
             manifest, "equation",
-            lambda spec: EquationSpec(spec["variant"], int(spec["sign"])), source,
+            lambda spec: EquationSpec(spec["variant"], _integer(spec["sign"])), source,
         )
     metadata = {}
     if manifest.get("metadata"):

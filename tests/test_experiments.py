@@ -1,31 +1,45 @@
 """Experiment harness: config plumbing, verdicts, determinism, cheap smoke runs."""
 
 import hashlib
+import math
 import os
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mkdvlab import __version__
-from mkdvlab.dynamics import EquationSpec, solve
+from mkdvlab import __version__, experiments
+from mkdvlab.dynamics import (
+    EquationSpec,
+    _solve_each,
+    phase_schedule,
+    solve,
+    stability_dt_limit,
+)
 from mkdvlab.errors import ConfigError, SolverAbort, StabilityWarning
 from mkdvlab.experiments import (
     EXPERIMENTS,
     ExperimentReport,
     Series,
     VerdictRecord,
+    _at_least,
+    _at_most,
+    _cutoff_ladder,
     _illposedness_frequency,
     _pseries_block_ratio,
+    _stable_schedule,
     integer,
     number,
     parse_config,
     run_experiment,
     write_report,
 )
+from mkdvlab.gauges import GaugeSpec, invert_gauge
 from mkdvlab.io import canonical_json
-from mkdvlab.norms import mass
+from mkdvlab.norms import mass, momentum
 from mkdvlab.presets import preset_state
+from mkdvlab.spectral import project_low
 
 
 # ------------------------------------------------------------------ config
@@ -98,6 +112,49 @@ def test_pseries_block_ratio_tracks_exponent():
     assert _pseries_block_ratio(0.8) == pytest.approx(2**0.2, abs=2e-3)
     assert _pseries_block_ratio(1.2) == pytest.approx(2**-0.2, abs=2e-3)
     assert _pseries_block_ratio(2.0) == pytest.approx(0.5, abs=2e-3)
+
+
+def test_bound_verdicts_pass_exactly_at_their_threshold():
+    opt = SimpleNamespace(tol=0.25)
+    assert _at_most(opt, "small", 0.25, "tol") == VerdictRecord("small", True, 0.25, "tol")
+    assert not _at_most(opt, "small", math.nextafter(0.25, 1.0), "tol").passed
+    assert _at_least(opt, "big", 0.25, "tol", "why") == VerdictRecord(
+        "big", True, 0.25, "tol", "why")
+    assert not _at_least(opt, "big", math.nextafter(0.25, 0.0), "tol").passed
+
+
+def test_stable_schedule_takes_the_smaller_step():
+    state = preset_state(16, "one_sided:0.9")
+    limit = stability_dt_limit(state)
+    assert _stable_schedule(state, 0.1, 4, math.inf) == phase_schedule(0.1, limit, 4)
+    assert _stable_schedule(state, 0.1, 4, limit / 3) == phase_schedule(0.1, limit / 3, 4)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_cutoff_ladder_is_solve_then_inverse_gauge(monkeypatch, cpus):
+    # one _solve_each call for both arms: serial on one CPU, forked on three
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    calls = []
+    monkeypatch.setattr(experiments, "_solve_each",
+                        lambda jobs: calls.append(jobs) or _solve_each(jobs))
+    arms = [(preset_state(16, "one_sided:0.9"), (4, 16)),
+            (preset_state(8, "random_smooth:1.5,2"), (2, 8))]
+    runs = _cutoff_ladder(arms, -1, 0.02, 4, math.inf)
+    assert [len(jobs) for jobs in calls] == [4]
+    assert [len(arm_runs) for arm_runs in runs] == [2, 2]
+    for (u0, cutoffs), arm_runs in zip(arms, runs):
+        for N, (trajectory, u_states, rate) in zip(cutoffs, arm_runs, strict=True):
+            state = project_low(u0, N)
+            dt, save_every = _stable_schedule(state, 0.02, 4, math.inf)
+            expected = solve(state, EquationSpec("mkdv2", -1), dt, 0.02, save_every)
+            undone = invert_gauge(expected, GaugeSpec("G2", -1, momentum(state))).states
+            assert rate == momentum(state)
+            assert trajectory.metadata == expected.metadata and len(trajectory) == 5
+            for got, want in zip(trajectory.states + u_states,
+                                 expected.states + undone, strict=True):
+                assert got.time == want.time
+                assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 # ----------------------------------------------------------------- reports

@@ -352,11 +352,21 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         shutil.copytree(tmp_path / "d", tmp_path / name)
         (tmp_path / name / "manifest.json").write_text(
             json.dumps({**manifest, "metadata": metadata}))
-    # a non-finite or non-positive step, a non-finite start time and state
-    # counts that are not integers
-    bad_times = (("k", "dt", float("nan")), ("l", "dt", -0.001), ("m", "t0", float("inf")),
-                 ("n", "num_states", 3.7), ("o", "num_states", True))
-    for name, field, value in bad_times:
+    # a non-finite or non-positive step, a non-finite start time, state
+    # counts that are not integers, gauge records with a non-finite scalar
+    # (json writes NaN and Infinity) and signs that are not JSON integers
+    def gauge(sign, scalar):
+        return {"gauges": [{"which": "G1", "sign": sign, "scalar": scalar}]}
+
+    bad_manifests = (("k", "dt", float("nan")), ("l", "dt", -0.001),
+                     ("m", "t0", float("inf")),
+                     ("n", "num_states", 3.7), ("o", "num_states", True),
+                     ("p", "metadata", gauge(1, float("nan"))),
+                     ("q", "metadata", gauge(1, float("inf"))),
+                     ("r", "equation", {"variant": "mkdv", "sign": 1.5}),
+                     ("s", "equation", {"variant": "mkdv", "sign": True}),
+                     ("t", "metadata", gauge("-1", 0.25)))
+    for name, field, value in bad_manifests:
         shutil.copytree(tmp_path / "d", tmp_path / name)
         (tmp_path / name / "manifest.json").write_text(
             json.dumps({**manifest, field: value}))
@@ -389,7 +399,7 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         (("gauge", "--traj", str(tmp_path / "h"), "--which", "G1",
           "--out", str(tmp_path / "j")), tmp_path / "h" / "manifest.json", "metadata"),
         *((("gauge", "--traj", str(tmp_path / name), "--out", str(tmp_path / f"{name}_out")),
-           tmp_path / name / "manifest.json", field) for name, field, _ in bad_times),
+           tmp_path / name / "manifest.json", field) for name, field, _ in bad_manifests),
         *bad_states,
     ):
         assert run_cli(*argv) == 1
@@ -398,7 +408,7 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert str(path) in err and f"'{field}'" in err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
-    assert not any((tmp_path / f"{name}_out").exists() for name, _, _ in bad_times)
+    assert not any((tmp_path / f"{name}_out").exists() for name, _, _ in bad_manifests)
 
 
 def test_cli_names_a_malformed_state_file(tmp_path, capsys):

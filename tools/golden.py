@@ -36,6 +36,8 @@ COMMANDS = [experiment(name, "") for name in NAMES] + [
                "T=0.2"),
     experiment("nonexistence", "_t0.01", "T=0.01", "save_points=2"),
     experiment("nonexistence", "_reduced", *REDUCED),
+    # dt_cap below every cutoff's stable step, in both arms
+    experiment("nonexistence", "_dtcap", *REDUCED, "dt_cap=2e-4", "sign=-1"),
     experiment("nonexistence", "_neg_schedule", *REDUCED, "schedule=-4,16"),
     experiment("nonexistence", "_neg_mom", *REDUCED, "mom_schedule=-1,8,16,32,64"),
     experiment("nonexistence", "_neg_control", *REDUCED, "control_schedule=-8,16"),
