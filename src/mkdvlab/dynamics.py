@@ -145,6 +145,12 @@ _SUBTRACTS = {"mkdv": (False, False), "mkdv1": (True, False), "mkdv2": (True, Tr
 def _rhs_builder(cap: int, equations: Sequence[EquationSpec]):
     """Signed right-hand side on a (B, 2M+1) stack, row b under equations[b].
 
+    ``rhs(coeffs, out=None)`` writes the right-hand side into ``out``, or
+    into a fresh array when ``out`` is None, and returns it.  It first
+    copies ``coeffs`` into its input buffer ``rhs.coeffs``, unless
+    ``coeffs`` is that buffer: a caller that builds its input there saves
+    the copy.  Every other buffer is allocated here, once.
+
     The equations must be grouped by variant, in the order of VARIANTS, so
     that the rows subtracting the mean transport, and those subtracting
     the momentum phase, are each a tail of the stack.  Rows never mix:
@@ -153,6 +159,14 @@ def _rhs_builder(cap: int, equations: Sequence[EquationSpec]):
     full (B, 2M+1) array, so that numpy combines it with the stack in its
     same-shape loop.  The sign is folded into the FFT scale and the
     scalars; multiplying by -1 is exact, so that costs no rounding.
+
+    mu and P come from one reduction of a float buffer that holds the
+    squared real and imaginary parts of the tail rows, then n times those
+    squares for the momentum rows; a real +-1 column signs them.  The mean
+    transport is then a real multiply on the float view of (in) u_hat, and
+    the momentum phase a complex multiply by the column (0, sign P).  Both
+    give the bits of the complex products (sign mu + 0i) (in) u_hat and
+    i (sign P + 0i) u_hat, except at most the sign of a zero.
     """
     # Imported by the first stepper built, not with this module.  rhs calls
     # pocketfft's binding as scipy.fft.ifft and fft(overwrite_x=True) do, minus
@@ -170,48 +184,77 @@ def _rhs_builder(cap: int, equations: Sequence[EquationSpec]):
         for column in zip(*(_SUBTRACTS[eq.variant] for eq in equations))
     )
     rows, width, num_points = len(equations), 2 * cap + 1, padded_grid_size(cap)
+    mean_rows, momentum_rows = rows - mean_start, rows - momentum_start
     nvec = np.arange(-cap, cap + 1).astype(np.float64)
     deriv = np.tile(1j * nvec, (rows, 1))
-    paired_nvec = np.tile(np.repeat(nvec, 2), (rows - momentum_start, 1))
-    # complex, so that the products with complex arrays below need no cast
-    sign = np.array([[complex(eq.sign)] for eq in equations])
-    signed_scale = np.tile(sign * (float(num_points) * float(num_points)), width)
-    mean_sign, momentum_sign = sign[mean_start:], sign[momentum_start:]
+    paired_nvec = np.tile(np.repeat(nvec, 2), (momentum_rows, 1))
+    sign = np.array([[float(eq.sign)] for eq in equations])
+    # complex, so that the product with the complex stack needs no cast
+    signed_scale = np.tile(sign * (float(num_points) * float(num_points)), width).astype(
+        np.complex128
+    )
     # u_hat and (in) u_hat side by side, and on the padded grid, where the
     # band between M and K-M stays zero
     pair = np.empty((2, rows, width), dtype=np.complex128)
-    coeffs_copy, coeffs_dx = pair
+    source, coeffs_dx = pair
     spread = np.zeros((2, rows, num_points), dtype=np.complex128)
+    # modes 0..M to the front of the padded grid, modes -M..-1 to its end
+    spread_front, pair_front = spread[..., : cap + 1], pair[..., cap:]
+    spread_back, pair_back = spread[..., num_points - cap :], pair[..., :cap]
+    phys_pair = np.empty_like(spread)
+    phys, phys_dx = phys_pair
     # conj(u), then u conj(u) u_x (operands in the formula's order, which
     # the rounding depends on) and its transform, in place
     product = np.empty(spread.shape[1:], dtype=np.complex128)
     low, high = product[:, num_points - cap :], product[:, : cap + 1]
+    # re^2 and im^2 of every mode of the tail rows, side by side in each
+    # row, then n re^2 and n im^2 of the momentum rows; their row sums are
+    # mu and P.  The imaginary parts of ``scalars`` take them signed and
+    # the real parts stay 0, so its last rows are the columns (0, sign P)
+    weights = np.empty((mean_rows + momentum_rows, 2 * width))
+    squares, moments = weights[:mean_rows], weights[mean_rows:]
+    momentum_squares = squares[momentum_start - mean_start :]
+    sums = np.empty((weights.shape[0], 1))
+    tail_sign = np.concatenate((sign[mean_start:], sign[momentum_start:]))
+    scalars = np.zeros(sums.shape, dtype=np.complex128)
+    signed_sums = scalars.imag
+    mean_factor, momentum_phase = signed_sums[:mean_rows], scalars[mean_rows:]
+    source_tail = source.view(np.float64)[mean_start:]
+    dx_tail = coeffs_dx.view(np.float64)[mean_start:]
+    source_momentum = source[momentum_start:]
+    term = np.empty((mean_rows, width), dtype=np.complex128)
+    term_pairs, term_momentum = term.view(np.float64), term[:momentum_rows]
 
-    def rhs(coeffs: np.ndarray) -> np.ndarray:
-        np.copyto(coeffs_copy, coeffs)
-        np.multiply(deriv, coeffs, out=coeffs_dx)
-        spread[..., : cap + 1] = pair[..., cap:]
-        spread[..., num_points - cap :] = pair[..., :cap]
-        phys, phys_dx = pypocketfft.c2c(spread, (-1,), False, 2, None, 1)
+    def rhs(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if coeffs is not source:
+            np.copyto(source, coeffs)
+        np.multiply(deriv, source, out=coeffs_dx)
+        np.copyto(spread_front, pair_front)
+        np.copyto(spread_back, pair_back)
+        pypocketfft.c2c(spread, (-1,), False, 2, phys_pair, 1)
         np.multiply(phys, np.conj(phys, out=product), out=product)
         np.multiply(product, phys_dx, out=product)
         pypocketfft.c2c(product, (-1,), True, 0, product, 1)
-        # a fresh array per call: the stepper keeps k1..k4
-        cubic = np.concatenate((low, high), axis=-1)
-        np.multiply(cubic, signed_scale, out=cubic)
-        if mean_start < rows:
-            # re^2 and im^2 of every mode, side by side in each row
-            squares = np.square(coeffs_copy[mean_start:].view(np.float64))
-            mu = np.add.reduce(squares, axis=-1, keepdims=True)
-            term = (mean_sign * mu) * coeffs_dx[mean_start:]
-            np.subtract(cubic[mean_start:], term, out=cubic[mean_start:])
-        if momentum_start < rows:
-            squares = squares[momentum_start - mean_start :]
-            mom = np.add.reduce(np.multiply(paired_nvec, squares), axis=-1, keepdims=True)
-            term = 1j * (momentum_sign * mom) * coeffs_copy[momentum_start:]
-            np.subtract(cubic[momentum_start:], term, out=cubic[momentum_start:])
-        return cubic
+        if out is None:
+            out = np.empty(source.shape, dtype=np.complex128)
+        np.concatenate((low, high), axis=-1, out=out)
+        np.multiply(out, signed_scale, out=out)
+        if mean_rows:
+            np.square(source_tail, out=squares)
+            if momentum_rows:
+                np.multiply(paired_nvec, momentum_squares, out=moments)
+            np.add.reduce(weights, axis=-1, keepdims=True, out=sums)
+            np.multiply(tail_sign, sums, out=signed_sums)
+            out_tail = out.view(np.float64)[mean_start:]
+            np.multiply(mean_factor, dx_tail, out=term_pairs)
+            np.subtract(out_tail, term_pairs, out=out_tail)
+        if momentum_rows:
+            np.multiply(momentum_phase, source_momentum, out=term_momentum)
+            out_tail = out[momentum_start:]
+            np.subtract(out_tail, term_momentum, out=out_tail)
+        return out
 
+    rhs.coeffs = source
     return rhs
 
 
@@ -317,9 +360,16 @@ def _ifrk4_stepper(cap: int, equations: Sequence[EquationSpec], dt: float):
     The equations must be grouped by variant, as rhs requires.  Every
     propagator and step factor is a full (B, 2M+1) array, so that each
     elementwise call runs numpy's same-shape loop.
+
+    A step allocates nothing: rhs fills k1..k4, rows of one (4, B, 2M+1)
+    block; each stage input is built in rhs's input buffer; and the step
+    returns one of two result buffers, alternating, so ``advance(u)``
+    never writes the u it reads.  The returned stack is overwritten two
+    calls later: copy what must outlive that.
     """
     rhs = _rhs_builder(cap, equations)
-    shape = (len(equations), 2 * cap + 1)
+    source = rhs.coeffs
+    shape = source.shape
     ncube = np.arange(-cap, cap + 1).astype(np.float64) ** 3
     half_prop = np.tile(np.exp(1j * ncube * (dt / 2.0)), (shape[0], 1))
     full_prop = half_prop * half_prop
@@ -330,28 +380,31 @@ def _ifrk4_stepper(cap: int, equations: Sequence[EquationSpec], dt: float):
     half_dt, full_dt, sixth_dt, two = (
         np.full(shape, complex(factor)) for factor in (dt / 2.0, dt, dt / 6.0, 2.0)
     )
+    k1, k2, k3, k4 = np.empty((4,) + shape, dtype=np.complex128)
+    results = (np.empty(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128))
 
-    def stage(u, k, factor, prop):
-        # prop * (u + factor * k) in one new array, operands in the order
-        # of the formula so that the rounding is the formula's
-        out = np.multiply(factor, k)
+    def stage(u, k, factor, prop, out):
+        # prop * (u + factor * k) into out, operands in the order of the
+        # formula so that the rounding is the formula's
+        np.multiply(factor, k, out=out)
         out += u
         return np.multiply(prop, out, out=out)
 
     def advance(u: np.ndarray) -> np.ndarray:
-        k1 = rhs(u)
-        k2 = rhs(stage(u, k1, half_dt, half_prop))
+        rhs(u, k1)
+        rhs(stage(u, k1, half_dt, half_prop, source), k2)
         np.multiply(half_back, k2, out=k2)
-        k3 = rhs(stage(u, k2, half_dt, half_prop))
+        rhs(stage(u, k2, half_dt, half_prop, source), k3)
         np.multiply(half_back, k3, out=k3)
-        k4 = rhs(stage(u, k3, full_dt, full_prop))
+        rhs(stage(u, k3, full_dt, full_prop, source), k4)
         np.multiply(full_back, k4, out=k4)
         # full_prop * (u + (dt/6) (k1 + 2 (k2 + k3) + k4))
-        k2 += k3
+        np.add(k2, k3, out=k2)
         np.multiply(two, k2, out=k2)
         np.add(k1, k2, out=k2)
-        k2 += k4
-        return stage(u, k2, sixth_dt, full_prop)
+        np.add(k2, k4, out=k2)
+        # results[1] when u is results[0], else results[0]
+        return stage(u, k2, sixth_dt, full_prop, results[u is results[0]])
 
     return advance
 
@@ -534,7 +587,10 @@ def solve_many(
     saved = [[st] for st in states]
     results: list[Trajectory | SolverAbort | None] = [None] * len(states)
     starts = [st.time for st in states]
-    mass_prev = _row_mass(current).tolist()
+    # _row_mass's buffers, reused at every step
+    squares = np.empty((current.shape[0], 2 * current.shape[1]))
+    masses = np.empty(current.shape[0])
+    mass_prev = _row_mass(current, squares, masses).tolist()
     mass_floor = [1e-13 * max(1.0, m) for m in mass_prev]
 
     def partial(row: int) -> Trajectory:
@@ -545,7 +601,7 @@ def solve_many(
     live = list(range(len(states)))
     for k in range(1, n_steps + 1):
         current = advance(current)
-        mass_now = _row_mass(current).tolist()
+        mass_now = _row_mass(current, squares, masses).tolist()
         for row in live:
             drift = abs(mass_now[row] - mass_prev[row])
             # a non-finite row has a nan or inf mass and fails this test too

@@ -49,10 +49,11 @@ def fl_norm(state: FourierState, spec: NormSpec) -> float:
     return _weighted_lp(weights * np.abs(state.coeffs), spec.p)
 
 
-def _row_mass(coeffs: np.ndarray) -> np.ndarray:
+def _row_mass(coeffs: np.ndarray, squares=None, out=None) -> np.ndarray:
     """sum |u_hat(n)|^2 of each row of a C-contiguous coefficient stack,
-    independent of the other rows and of the BLAS thread count."""
-    return np.add.reduce(np.square(coeffs.view(np.float64)), axis=-1)
+    independent of the other rows and of the BLAS thread count.  The
+    squared parts go to ``squares`` and the sums to ``out`` when given."""
+    return np.add.reduce(np.square(coeffs.view(np.float64), out=squares), axis=-1, out=out)
 
 
 def mass(state: FourierState) -> float:

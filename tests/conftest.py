@@ -185,7 +185,9 @@ def reference_rhs_builder(cap, equations):
     the spread (in) u_hat comes from a padded-grid derivative row, and the
     modes are gathered and then scaled.  Every operation and operand order
     of the production right-hand side, through different calls, so the two
-    must agree bitwise.
+    must agree bitwise.  Like the production one, ``rhs(coeffs, out=None)``
+    copies its result into ``out`` when given, and ``rhs.coeffs`` is an
+    input buffer that a caller may fill and pass.
     """
     from scipy import fft as sfft
 
@@ -204,7 +206,7 @@ def reference_rhs_builder(cap, equations):
     subtract_momentum = bool(np.any(momentum_rows))
     spread = np.zeros((2, len(equations), num_points), dtype=np.complex128)
 
-    def rhs(coeffs):
+    def rhs(coeffs, out=None):
         _spread_modes(coeffs, cap, spread[0])
         np.multiply(padded_deriv, spread[0], out=spread[1])
         phys, phys_dx = sfft.ifft(spread)
@@ -222,8 +224,12 @@ def reference_rhs_builder(cap, equations):
             mom = np.add.reduce(paired_nvec * squares, axis=-1, keepdims=True)
             term = 1j * (sign * mom) * coeffs
             np.subtract(cubic, term, out=cubic, where=momentum_rows)
-        return cubic
+        if out is None:
+            return cubic
+        np.copyto(out, cubic)
+        return out
 
+    rhs.coeffs = np.empty((len(equations), 2 * cap + 1), dtype=np.complex128)
     return rhs
 
 

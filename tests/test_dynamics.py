@@ -328,6 +328,133 @@ def test_step_matches_reference_stepper_bitwise(monkeypatch, cap, members):
         assert_same_trajectory(a, b)
 
 
+def _real_control(cap):
+    """Coefficients of the real function u + conj(u): conjugate symmetric,
+    so the momentum sum n |u_hat(n)|^2 reduces to exactly 0."""
+    base = preset_state(cap, "random_smooth:1.5,3")
+    return base.with_(coeffs=base.coeffs + np.conj(base.coeffs[::-1]))
+
+
+_BOTH_SIGNS = [(variant, sign) for sign in (1, -1) for variant in dynamics.VARIANTS]
+
+
+@pytest.mark.parametrize("case", ["one-sided", "minus-sign", "real", "zero", "abort"])
+def test_step_matches_reference_stepper_where_zero_signs_matter(monkeypatch, case):
+    # The stepper forms the mean transport as a real multiply and the
+    # momentum phase with a preset-zero real part, where the reference
+    # takes complex products; the two differ at most in the sign of a
+    # zero.  These stacks hold the exact zeros that could expose it:
+    # one_sided data vanish at n <= 0, real data have P = 0 exactly, the
+    # two right-hand sides of the zero state differ in the signs of their
+    # zeros, and an aborting row is zeroed while the others go on
+    cap = 32
+    if case in ("one-sided", "zero"):
+        state = preset_state(cap, "one_sided:0.9" if case == "one-sided" else "zero")
+        members = [(state, EquationSpec(*member)) for member in _BOTH_SIGNS]
+    elif case == "minus-sign":
+        base = preset_state(cap, "random_smooth:1.2,7")
+        members = [(base.with_(coeffs=base.coeffs * amp), EquationSpec(variant, -1))
+                   for amp in (0.5, 1.5) for variant in ("mkdv2", "mkdv1")]
+    elif case == "real":
+        state = _real_control(cap)
+        paired_modes = np.repeat(state.modes.astype(np.float64), 2)
+        assert np.add.reduce(paired_modes * np.square(state.coeffs.view(np.float64))) == 0.0
+        members = [(state, EquationSpec(*member)) for member in _BOTH_SIGNS]
+    else:
+        base = preset_state(16, "random_smooth:1.2,7")
+        # amplitude 50 aborts in step 1 under mkdv1 and mkdv2, 35.6 in
+        # step 3 under mkdv; the zeroed rows then ride along
+        members = [
+            (base, EquationSpec("mkdv2", -1)),
+            (base.with_(coeffs=base.coeffs * 50.0), EquationSpec("mkdv2", 1)),
+            (base.with_(coeffs=base.coeffs * 0.5), EquationSpec("mkdv1", -1)),
+            (base.with_(coeffs=base.coeffs * 50.0), EquationSpec("mkdv1", 1)),
+            (base.with_(coeffs=base.coeffs * 35.6), EquationSpec("mkdv", 1)),
+            (base, EquationSpec("mkdv", -1)),
+        ]
+    states, equations = zip(*members)
+    dt, horizon = (1e-3, 0.01) if case == "abort" else (1e-4, 5e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        got = solve_many(states, equations, dt, horizon, 1)
+        monkeypatch.setattr(dynamics, "_ifrk4_stepper", reference_ifrk4_stepper)
+        want = solve_many(states, equations, dt, horizon, 1)
+    if case == "abort":
+        assert [type(r) for r in got] == [Trajectory, SolverAbort] * 2 + [SolverAbort, Trajectory]
+    else:
+        assert all(isinstance(r, Trajectory) for r in got)
+    for a, b in zip(got, want):
+        assert_same_outcome(a, b)
+
+
+def test_stepper_buffers_never_reach_saved_states(monkeypatch):
+    # rhs's input and output buffers and the two step results, recorded as
+    # the stepper uses them, share no memory with any saved state
+    buffers = []
+    build_rhs, build_stepper = dynamics._rhs_builder, dynamics._ifrk4_stepper
+
+    def recording_rhs_builder(cap, equations):
+        rhs = build_rhs(cap, equations)
+
+        def recording_rhs(coeffs, out=None):
+            buffers.extend((coeffs, out))
+            return rhs(coeffs, out)
+
+        recording_rhs.coeffs = rhs.coeffs
+        return recording_rhs
+
+    def recording_stepper(cap, equations, dt):
+        advance = build_stepper(cap, equations, dt)
+
+        def recording_advance(u):
+            buffers.append(advance(u))
+            return buffers[-1]
+
+        return recording_advance
+
+    monkeypatch.setattr(dynamics, "_rhs_builder", recording_rhs_builder)
+    monkeypatch.setattr(dynamics, "_ifrk4_stepper", recording_stepper)
+    base = preset_state(16, "random_smooth:1.2,7")
+    states = [base, base.with_(coeffs=base.coeffs * 35.6), base.with_(coeffs=base.coeffs * 0.5)]
+    equations = [EquationSpec("mkdv2", 1), EquationSpec("mkdv", 1), EquationSpec("mkdv1", -1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        results = solve_many(states, equations, 1e-3, 0.01, 1)
+    assert [type(r) for r in results] == [Trajectory, SolverAbort, Trajectory]
+    unique = {id(buf): buf for buf in buffers if buf is not None}.values()
+    # the initial stack, rhs's input buffer, k1..k4 and the two results
+    assert len({buf.__array_interface__["data"][0] for buf in unique}) == 8
+    for result in results:
+        traj = result.partial if isinstance(result, SolverAbort) else result
+        for state in traj.states:
+            assert not state.coeffs.flags.writeable
+            assert not any(np.shares_memory(state.coeffs, buf) for buf in unique)
+
+
+def test_nonlinearity_and_residual_check_return_independent_values():
+    state = preset_state(16, "random_smooth:1.5,3")
+    other = preset_state(16, "random_smooth:1.2,7")
+    equation = EquationSpec("mkdv2", -1)
+    first = nonlinearity(state, equation)
+    kept = first.coeffs.copy()
+    second = nonlinearity(other, equation)
+    assert not np.shares_memory(first.coeffs, second.coeffs)
+    assert first.coeffs.tobytes() == kept.tobytes()
+    for got, source in ((first, state), (second, other)):
+        want = reference_rhs_builder(16, (equation,))(source.coeffs[None])[0]
+        assert got.coeffs.tobytes() == want.tobytes()
+    # residual_check against its formula on the reference right-hand side
+    traj = solve(state, equation, 1e-4, 2e-3)
+    rhs = reference_rhs_builder(16, (equation,))
+    dissipation = (1j * state.modes.astype(np.float64)) ** 3
+    expected = []
+    for before, mid, after in zip(traj.states, traj.states[1:], traj.states[2:]):
+        diff = (after.coeffs - before.coeffs) / (2.0 * traj.dt)
+        resid = diff + dissipation * mid.coeffs - rhs(mid.coeffs[None])[0]
+        expected.append((mid.time, fl_norm(mid.with_(coeffs=resid), NormSpec(0.0, 2.0))))
+    assert residual_check(traj) == tuple(expected)
+
+
 def test_rhs_returns_a_fresh_array_per_call():
     rhs = _rhs_builder(16, (EquationSpec("mkdv2", 1),))
     first = rhs(preset_state(16, "random_smooth:1.5,3").coeffs[None])

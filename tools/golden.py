@@ -34,6 +34,8 @@ COMMANDS = [experiment(name, "") for name in NAMES] + [
     # members listed out of variant order, which solve_many regroups
     experiment("conservation", "_unsorted", "variants=mkdv2,mkdv,mkdv1", "seeds=0,1",
                "T=0.2"),
+    # mkdv1 and mkdv2 rows at sign -1 (the default variants are all three)
+    experiment("conservation", "_neg_sign", "sign=-1", "seeds=0", "T=0.1"),
     experiment("nonexistence", "_t0.01", "T=0.01", "save_points=2"),
     experiment("nonexistence", "_reduced", *REDUCED),
     # dt_cap below every cutoff's stable step, in both arms
