@@ -48,20 +48,23 @@ class _VerdictFailure(Exception):
     """Internal signal: report written, at least one verdict failed."""
 
 
+def _key_value(item: str, where: str) -> tuple[str, str]:
+    """``item`` split at its first '=', both sides stripped; a missing '=' or
+    an empty key is refused, naming ``where`` the item came from."""
+    key, equals, value = item.partition("=")
+    if not equals:
+        raise ConfigError(f"{where} expects key=value, got {item!r}")
+    if not key.strip():
+        raise ConfigError(f"{where}: empty key")
+    return key.strip(), value.strip()
+
+
 def _read_config_file(path: str) -> dict[str, str]:
-    data: dict[str, str] = {}
-    text = pathlib.Path(path).read_text()
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{line_no}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        if not key.strip():
-            raise ConfigError(f"{path}:{line_no}: empty key")
-        data[key.strip()] = value.strip()
-    return data
+    return dict(
+        _key_value(raw, f"{path}:{line_no}")
+        for line_no, raw in enumerate(pathlib.Path(path).read_text().splitlines(), 1)
+        if raw.strip()[:1] not in ("", "#")  # blank and comment lines
+    )
 
 
 def _fresh_out(out) -> pathlib.Path:
@@ -237,13 +240,7 @@ def norms_command(config_path, pretty, **flags):
 @click.option("--out", required=True, help="output report directory")
 def experiment_command(name, config_path, assignments, out):
     """Run a named experiment and write report.json plus series CSVs."""
-    assigned: dict[str, str] = {}
-    for item in assignments:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        assigned[key.strip()] = value.strip()
-
+    assigned = dict(_key_value(item, "--set") for item in assignments)
     out_dir = _fresh_out(out)
     report = run_experiment(name, _overrides(config_path, assigned))
     write_report(report, out_dir)

@@ -157,16 +157,18 @@ def _rhs_builder(cap: int, equations: Sequence[EquationSpec]):
     every FFT, product and reduction works row by row, so a row's value
     does not depend on the other rows or on B.  Each per-mode factor is a
     full (B, 2M+1) array, so that numpy combines it with the stack in its
-    same-shape loop.  The sign is folded into the FFT scale and the
-    scalars; multiplying by -1 is exact, so that costs no rounding.
+    same-shape loop.  The cubic term, the mean transport and the momentum
+    phase are each linear in d/dx, so the sign rides on the derivative:
+    row b differentiates with sign (in) and weighs the momentum with
+    sign n.  Multiplying by -1 is exact, so that costs no rounding.
 
-    mu and P come from one reduction of a float buffer that holds the
-    squared real and imaginary parts of the tail rows, then n times those
-    squares for the momentum rows; a real +-1 column signs them.  The mean
-    transport is then a real multiply on the float view of (in) u_hat, and
-    the momentum phase a complex multiply by the column (0, sign P).  Both
-    give the bits of the complex products (sign mu + 0i) (in) u_hat and
-    i (sign P + 0i) u_hat, except at most the sign of a zero.
+    mu and sign P come from one reduction of a float buffer that holds the
+    squared real and imaginary parts of the tail rows, then sign n times
+    those squares for the momentum rows.  The mean transport is then a real
+    multiply on the float view of sign (in) u_hat, and the momentum phase a
+    complex multiply by the column (0, sign P).  Both give the bits of the
+    complex products (sign mu + 0i) (in) u_hat and i (sign P + 0i) u_hat,
+    except at most the sign of a zero.
     """
     # Imported by the first stepper built, not with this module.  rhs calls
     # pocketfft's binding as scipy.fft.ifft and fft(overwrite_x=True) do, minus
@@ -186,13 +188,11 @@ def _rhs_builder(cap: int, equations: Sequence[EquationSpec]):
     rows, width, num_points = len(equations), 2 * cap + 1, padded_grid_size(cap)
     mean_rows, momentum_rows = rows - mean_start, rows - momentum_start
     nvec = np.arange(-cap, cap + 1).astype(np.float64)
-    deriv = np.tile(1j * nvec, (rows, 1))
-    paired_nvec = np.tile(np.repeat(nvec, 2), (momentum_rows, 1))
     sign = np.array([[float(eq.sign)] for eq in equations])
+    deriv = 1j * (sign * nvec)
+    paired_nvec = sign[momentum_start:] * np.repeat(nvec, 2)
     # complex, so that the product with the complex stack needs no cast
-    signed_scale = np.tile(sign * (float(num_points) * float(num_points)), width).astype(
-        np.complex128
-    )
+    scale = np.full((rows, width), float(num_points) ** 2, dtype=np.complex128)
     # u_hat and (in) u_hat side by side, and on the padded grid, where the
     # band between M and K-M stays zero
     pair = np.empty((2, rows, width), dtype=np.complex128)
@@ -208,17 +208,15 @@ def _rhs_builder(cap: int, equations: Sequence[EquationSpec]):
     product = np.empty(spread.shape[1:], dtype=np.complex128)
     low, high = product[:, num_points - cap :], product[:, : cap + 1]
     # re^2 and im^2 of every mode of the tail rows, side by side in each
-    # row, then n re^2 and n im^2 of the momentum rows; their row sums are
-    # mu and P.  The imaginary parts of ``scalars`` take them signed and
-    # the real parts stay 0, so its last rows are the columns (0, sign P)
+    # row, then sign n re^2 and sign n im^2 of the momentum rows; their row
+    # sums, mu and sign P, go to the imaginary parts of ``scalars``, whose
+    # real parts stay 0, so its last rows are the columns (0, sign P)
     weights = np.empty((mean_rows + momentum_rows, 2 * width))
     squares, moments = weights[:mean_rows], weights[mean_rows:]
     momentum_squares = squares[momentum_start - mean_start :]
-    sums = np.empty((weights.shape[0], 1))
-    tail_sign = np.concatenate((sign[mean_start:], sign[momentum_start:]))
-    scalars = np.zeros(sums.shape, dtype=np.complex128)
-    signed_sums = scalars.imag
-    mean_factor, momentum_phase = signed_sums[:mean_rows], scalars[mean_rows:]
+    scalars = np.zeros((weights.shape[0], 1), dtype=np.complex128)
+    sums = scalars.imag
+    mean_factor, momentum_phase = sums[:mean_rows], scalars[mean_rows:]
     source_tail = source.view(np.float64)[mean_start:]
     dx_tail = coeffs_dx.view(np.float64)[mean_start:]
     source_momentum = source[momentum_start:]
@@ -238,13 +236,12 @@ def _rhs_builder(cap: int, equations: Sequence[EquationSpec]):
         if out is None:
             out = np.empty(source.shape, dtype=np.complex128)
         np.concatenate((low, high), axis=-1, out=out)
-        np.multiply(out, signed_scale, out=out)
+        np.multiply(out, scale, out=out)
         if mean_rows:
             np.square(source_tail, out=squares)
             if momentum_rows:
                 np.multiply(paired_nvec, momentum_squares, out=moments)
             np.add.reduce(weights, axis=-1, keepdims=True, out=sums)
-            np.multiply(tail_sign, sums, out=signed_sums)
             out_tail = out.view(np.float64)[mean_start:]
             np.multiply(mean_factor, dx_tail, out=term_pairs)
             np.subtract(out_tail, term_pairs, out=out_tail)

@@ -89,6 +89,9 @@ def momentum_limit_diagnostic(
     converged: the last three successive differences all fall below
     tol * (1 + |P_last|).  diverging: |P_last| has grown by a factor >= 2
     over |P_first| across the schedule.  Anything else: undetermined.
+    This is a heuristic on finitely many truncations: for u_hat(n) = n^-1.01
+    the momentum converges, yet it reads "diverging"; where the rule's
+    exponent is known, decide by the exponent instead.
     """
     sched = [int(N) for N in schedule]
     if len(sched) < 4:

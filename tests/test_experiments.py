@@ -59,6 +59,8 @@ def test_parse_config_merges_and_rejects_unknown():
 # rejects the value before any experiment body runs
 SINGLE_KEY_RULES = [
     ("nonexistence", "schedule", "32"),
+    # one consecutive gap would make v_cauchy_shrinks divide it by itself
+    ("nonexistence", "schedule", "8,16"),
     ("nonexistence", "control_schedule", "32"),
     ("nonexistence", "mom_schedule", "32,64,128"),
     ("nonexistence", "p", "0.5"),
@@ -429,7 +431,7 @@ def test_multiplier_probe_validates_radii():
 
 #: the reduced nonexistence config of tools/golden.py
 REDUCED_NONEXISTENCE = {
-    "modes": "32", "schedule": "8,16", "T": "0.2", "save_points": "20",
+    "modes": "32", "schedule": "4,8,16", "T": "0.2", "save_points": "20",
     "control_modes": "16", "control_schedule": "8,16",
     "mom_schedule": "8,16,32,64,128",
 }
@@ -456,7 +458,7 @@ def test_nonexistence_reduced_smoke():
 
 def test_nonexistence_schedule_validation():
     with pytest.raises(ConfigError):
-        run_experiment("nonexistence", {"schedule": "64,512", "modes": "256"})
+        run_experiment("nonexistence", {"schedule": "64,128,512", "modes": "256"})
     with pytest.raises(ConfigError):
         run_experiment("nonexistence", {"alpha": "2.0"})  # momentum converges
     with pytest.raises(ConfigError):
@@ -470,6 +472,19 @@ def test_nonexistence_schedule_validation():
                          ("control_schedule", "-8,16")):
         with pytest.raises(ConfigError, match=f"'{key}'"):
             run_experiment("nonexistence", {**REDUCED_NONEXISTENCE, key: cutoffs})
+
+
+def test_nonexistence_data_gates_decide_by_the_exponent():
+    # Sum n^-e converges iff e > 1.  At alpha = 1 the momentum series is
+    # harmonic: it diverges, although its dyadic block ratio reads below 1.
+    report = run_experiment("nonexistence", {**REDUCED_NONEXISTENCE, "alpha": "1"})
+    assert report.scalars["divergence_block_ratio"] < 1.0
+    # p (alpha - s) = 2.5 * 0.4 = 1 exactly: the data lie outside FL^(1/2, 5/2)
+    with pytest.raises(ConfigError, match=r"outside FL\^\(s,p\)"):
+        run_experiment("nonexistence", {"s": "0.5", "p": "2.5", "alpha": "0.9"})
+    # sum n^-1.02 converges, so the momentum has a limit
+    with pytest.raises(ConfigError, match="momentum"):
+        run_experiment("nonexistence", {"alpha": "1.01"})
 
 
 def test_nonexistence_report_same_on_one_cpu(monkeypatch):

@@ -269,6 +269,22 @@ def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
     assert manifest["config"]["eq"] == "mkdv2"
 
 
+def test_cli_config_file_and_set_read_alike(tmp_path):
+    # one key=value rule: a file line and a --set item give the same config
+    assignments = ["n_list = 0", "radii=8,16,32", " pairs =0.5:2 "]
+    config = tmp_path / "probe.cfg"
+    config.write_text("# cheap probe\n\n" + "\n".join(assignments) + "\n")
+    codes, reports = [], []
+    for tag, args in (("file", ["--config", str(config)]),
+                      ("set", [arg for item in assignments for arg in ("--set", item)])):
+        out = tmp_path / tag
+        codes.append(run_cli("experiment", "multiplier_probe", *args, "--out", str(out)))
+        reports.append(json.loads((out / "report.json").read_text()))
+    assert codes[0] == codes[1]
+    assert reports[0]["parameters"]["pairs"] == "0.5:2"
+    assert reports[0] == reports[1]
+
+
 def test_cli_rejects_malformed_config(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("eq mkdv\n")
@@ -469,7 +485,8 @@ def test_cli_gauge_g2_and_pretty_norms(tmp_path, capsys):
 
 # (argv, part of the error): each is refused with exit code 1; {tmp} is the
 # test's directory, where eq.cfg holds the line "=3", invert.cfg the line
-# "invert = treu", which.cfg the line "which = G1", and g1 a G1 trajectory
+# "invert = treu", which.cfg the line "which = G1", spaced.cfg a comment and
+# then "modes 8", and g1 a G1 trajectory
 REJECTED = [
     (("experiment", "multiplier_probe", "--set", "radii", "--out", "{tmp}/o"),
      "config error: --set expects key=value, got 'radii'"),
@@ -494,12 +511,17 @@ REJECTED = [
      "config error: 'invert' undoes the recorded gauge; drop 'which' and 'sign'"),
     (("gauge", "--config", "{tmp}/invert.cfg", "--traj", "{tmp}/g1", "--out", "{tmp}/o"),
      "config error: 'invert' must be one of true, 1, yes, false, 0, no, got 'treu'"),
+    (("experiment", "multiplier_probe", "--set", "=5", "--out", "{tmp}/o"),
+     "config error: --set: empty key"),
+    (("solve", "--config", "{tmp}/spaced.cfg", "--out", "{tmp}/o"),
+     "spaced.cfg:2 expects key=value, got 'modes 8'"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", REJECTED)
 def test_cli_rejections_exit_one(tmp_path, capsys, argv, message):
     (tmp_path / "eq.cfg").write_text("=3\n")
+    (tmp_path / "spaced.cfg").write_text("# a comment\nmodes 8\n")
     (tmp_path / "invert.cfg").write_text("invert = treu\n")
     (tmp_path / "which.cfg").write_text("which = G1\n")
     if "{tmp}/g1" in argv:

@@ -6,8 +6,9 @@ SRC is the package source directory of a checkout (its ``src``); it goes
 first on sys.path.  OUT must not exist yet.  Each command runs in process
 through ``mkdvlab.cli.main`` with OUT as the working directory, and
 OUT/<command>.txt records its exit code, stdout and stderr with SRC replaced
-by ``<src>``.  Before they run, OUT/state.json receives JSON_STATE, for the
-command that reads a JSON state.  Warnings are recorded as category and
+by ``<src>``.  Before they run, OUT receives the INPUTS files that some
+commands read: a JSON state, a state CSV that only the line-by-line reader
+accepts, and a solve config file.  Warnings are recorded as category and
 message only, so a moved source line does not show as a difference.
 Run it on two checkouts and compare the two OUT trees with ``diff -r``.
 """
@@ -19,7 +20,7 @@ import pathlib
 import sys
 import warnings
 
-REDUCED = ("modes=32 schedule=8,16 T=0.2 save_points=20 control_modes=16 "
+REDUCED = ("modes=32 schedule=4,8,16 T=0.2 save_points=20 control_modes=16 "
            "control_schedule=8,16 mom_schedule=8,16,32,64,128").split()
 NAMES = ("conservation gauge_equivalence nonexistence illposedness random_momentum "
          "energy_drift apriori_probe multiplier_probe").split()
@@ -58,15 +59,27 @@ COMMANDS = [experiment(name, "") for name in NAMES] + [
                   "--out big_norms.json".split()),
     ("norms_json", "norms --state state.json --s 0,0.5 --p 1,2,inf "
                    "--out json_norms.json".split()),
+    ("norms_csv", "norms --state state.csv --s 0,0.5 --p 1,2,inf "
+                  "--out csv_norms.json".split()),
+    # the flag overrides the file's T
+    ("solve_config", "solve --config solve.cfg --T 0.002 --out configured".split()),
 ]
 
-# cap 2 with mode 0 left out (it reads as zero) and -0 parts, as fmt17 writes -0.0
-JSON_STATE = """{
+INPUTS = {
+    # cap 2 with mode 0 left out (it reads as zero) and -0 parts, as fmt17
+    # writes -0.0
+    "state.json": """{
   "coeffs": [[-2, 0.25, -0], [-1, 1.5, 0.75], [1, -0.5, 2], [2, -0, 0.125]],
   "mode_cap": 2,
   "time": 0.5
 }
-"""
+""",
+    # the same state with CRLF line ends, rows out of order and a blank line
+    "state.csv": "n,re,im\r\n2,-0,0.125\r\n-2,0.25,-0\r\n\r\n1,-0.5,2\r\n"
+                 "0,0,0\r\n-1,1.5,0.75\r\n",
+    "solve.cfg": "# plane wave under mkdv2\neq = mkdv2\nmodes = 8\ndt = 1e-3\n"
+                 "T = 0.01\nic = plane_wave:2,1,0\n",
+}
 
 
 def show_warning(message, category, *_):
@@ -84,7 +97,8 @@ if __name__ == "__main__":
         sys.exit(f"{out} already exists; give a fresh OUT directory")
     os.makedirs(out)
     os.chdir(out)
-    pathlib.Path("state.json").write_text(JSON_STATE)
+    for filename, content in INPUTS.items():
+        pathlib.Path(filename).write_bytes(content.encode())
     warnings.showwarning = show_warning
     for name, argv in COMMANDS:
         stdout, stderr, code = io.StringIO(), io.StringIO(), 0
