@@ -143,7 +143,7 @@ def solve_command(config_path, **flags):
 
 GAUGE_SCHEMA = {
     "traj": ("", required),
-    "which": ("G1", text),  # checked only when a gauge is applied
+    "which": ("G1", choice("G1", "G2")),
     "invert": ("false", flag),
     "sign": ("", optional(sign)),
     "out": ("", required),
@@ -165,12 +165,8 @@ def gauge_command(config_path, **flags):
         raise ConfigError("'invert' undoes the recorded gauge; drop 'which' and 'sign'")
     _fresh_out(opt.out)
     trajectory = trajectory_from_dir(opt.traj)
-    if opt.invert:
-        result = invert_gauge(trajectory)
-    elif choice("G1", "G2")("which", opt.which.strip()) == "G1":
-        result = apply_gauge1(trajectory, opt.sign)
-    else:
-        result = apply_gauge2(trajectory, opt.sign)
+    apply = apply_gauge1 if opt.which == "G1" else apply_gauge2
+    result = invert_gauge(trajectory) if opt.invert else apply(trajectory, opt.sign)
     trajectory_to_dir(
         result, opt.out, extra_manifest={"command": "gauge", "config": config}
     )

@@ -396,57 +396,40 @@ def exp_conservation(opt) -> Findings:
     Both quantities are conserved exactly by the semi-discrete system, so any
     drift measures integrator error alone.  When a seed sweep is requested the
     initial condition must be random_smooth; its seed argument is replaced by
-    each sweep entry in turn.  Time series are reported for the first member
-    of each variant, drifts for the worst member.
+    each sweep entry in turn.  The mass, momentum and FL^(1/2,2) time series
+    are reported for the first member of each variant, drifts for the worst
+    member.
     """
     ic_name, ic_args = parse_preset(opt.ic)
     if opt.seeds and (ic_name != "random_smooth" or len(ic_args) < 1):
         raise ConfigError("a 'seeds' sweep requires a random_smooth:decay,seed ic")
-    members = []
-    for variant in opt.variants:
-        if opt.seeds:
-            for seed in opt.seeds:
-                members.append((variant, f"random_smooth:{fmt17(ic_args[0])},{seed}"))
-        else:
-            members.append((variant, opt.ic))
-
-    fl_spec = NormSpec(0.5, 2)
+    presets = (
+        [f"random_smooth:{fmt17(ic_args[0])},{seed}" for seed in opt.seeds]
+        if opt.seeds else [opt.ic]
+    )
     trajectories = raise_first_abort(solve_many(
-        [preset_state(opt.modes, preset) for _, preset in members],
-        [EquationSpec(variant, opt.sign) for variant, _ in members],
+        [preset_state(opt.modes, preset) for _ in opt.variants for preset in presets],
+        [EquationSpec(variant, opt.sign) for variant in opt.variants for _ in presets],
         opt.dt, opt.T, opt.save_every,
     ))
 
-    def summarize(variant, trajectory):
-        masses = np.array([mass(st) for st in trajectory.states])
-        momenta = np.array([momentum(st) for st in trajectory.states])
-        fls = np.array([fl_norm(st, fl_spec) for st in trajectory.states])
-        return variant, trajectory.times, masses, momenta, fls
-
-    results = [
-        summarize(variant, trajectory)
-        for (variant, _), trajectory in zip(members, trajectories)
-    ]
-
+    fl_spec = NormSpec(0.5, 2)
     series: dict[str, Series] = {}
     scalars: dict[str, float] = {}
     verdicts = []
-    for variant in opt.variants:
-        rows = [r for r in results if r[0] == variant]
-        mass_drift = max(_relative_drift(masses) for _, _, masses, _, _ in rows)
-        mom_drift = max(_relative_drift(momenta) for _, _, _, momenta, _ in rows)
-        _, times, masses, momenta, fls = rows[0]
-        series[f"{variant}_mass"] = Series("t", "mass", tuple(zip(times, masses)))
-        series[f"{variant}_momentum"] = Series(
-            "t", "momentum", tuple(zip(times, momenta))
-        )
+    for index, variant in enumerate(opt.variants):
+        group = trajectories[index * len(presets):(index + 1) * len(presets)]
+        times = group[0].times
+        for name, quantity in (("mass", mass), ("momentum", momentum)):
+            values = [np.array([quantity(st) for st in t.states]) for t in group]
+            series[f"{variant}_{name}"] = Series("t", name, tuple(zip(times, values[0])))
+            drift = max(map(_relative_drift, values))
+            scalars[f"{variant}_{name}_drift"] = drift
+            verdicts.append(
+                _at_most(opt, f"{variant}_{name}_conserved", drift, "drift_tol")
+            )
+        fls = np.array([fl_norm(st, fl_spec) for st in group[0].states])
         series[f"{variant}_fl_half_2"] = Series("t", "fl_norm", tuple(zip(times, fls)))
-        scalars[f"{variant}_mass_drift"] = mass_drift
-        scalars[f"{variant}_momentum_drift"] = mom_drift
-        verdicts.append(_at_most(opt, f"{variant}_mass_conserved", mass_drift, "drift_tol"))
-        verdicts.append(
-            _at_most(opt, f"{variant}_momentum_conserved", mom_drift, "drift_tol")
-        )
 
     return series, scalars, verdicts
 
@@ -1045,30 +1028,22 @@ def exp_apriori_probe(opt) -> Findings:
         initials, [equation] * len(initials), opt.dt, opt.T, opt.save_every
     )
 
-    def summarize(amp, initial, outcome):
+    failures, ratios = [], []
+    series: dict[str, Series] = {}
+    scalars: dict[str, float] = {}
+    for amp, initial, outcome in zip(opt.amplitudes, initials, outcomes):
         if isinstance(outcome, SolverAbort):
-            return amp, None, str(outcome), None
+            failures.append(f"amp {fmt17(amp)}: {outcome}")
+            continue
         norm0 = fl_norm(initial, spec)
         bound = (1.0 + norm0) ** (p / 2.0 - 1.0) * norm0
         norms = [fl_norm(st, spec) for st in outcome.states]
-        return amp, float(np.max(norms)) / bound, None, tuple(
-            zip(outcome.times, norms)
-        )
-
-    results = [
-        summarize(amp, initial, outcome)
-        for amp, initial, outcome in zip(opt.amplitudes, initials, outcomes)
-    ]
-    failures = [(amp, message) for amp, ratio, message, _ in results if ratio is None]
-    ratios = [(amp, ratio) for amp, ratio, _, rows in results if ratio is not None]
-
-    series = {
-        "ratio_vs_amplitude": Series("amplitude", "ratio", tuple(ratios)),
-    }
-    for amp, ratio, _, rows in results:
-        if rows is not None:
-            series[f"norm_t_a{fmt17(amp)}"] = Series("t", "fl_norm", rows)
-    scalars = {f"ratio_a{fmt17(amp)}": ratio for amp, ratio in ratios}
+        ratio = float(np.max(norms)) / bound
+        ratios.append((amp, ratio))
+        scalars[f"ratio_a{fmt17(amp)}"] = ratio
+        rows = tuple(zip(outcome.times, norms))
+        series[f"norm_t_a{fmt17(amp)}"] = Series("t", "fl_norm", rows)
+    series["ratio_vs_amplitude"] = Series("amplitude", "ratio", tuple(ratios))
     if ratios:
         scalars["max_ratio"] = max(r for _, r in ratios)
 
@@ -1080,7 +1055,7 @@ def exp_apriori_probe(opt) -> Findings:
             "family_completed", not failures,
             "all members" if not failures else f"{len(failures)} aborted",
             "amplitudes",
-            "; ".join(f"amp {fmt17(amp)}: {msg}" for amp, msg in failures),
+            "; ".join(failures),
         ),
         VerdictRecord(
             "stable_under_doubling",

@@ -37,7 +37,7 @@ from mkdvlab.experiments import (
 )
 from mkdvlab.gauges import GaugeSpec, invert_gauge
 from mkdvlab.io import canonical_json
-from mkdvlab.norms import mass, momentum
+from mkdvlab.norms import fl_norm, mass, momentum
 from mkdvlab.presets import preset_state
 from mkdvlab.spectral import project_low
 
@@ -246,6 +246,25 @@ def test_conservation_smoke():
     # the seed sweep keeps the decay exactly as given, not rounded to 6 digits
     first_member = preset_state(8, "random_smooth:1.2345678,0")
     assert report.series["mkdv_mass"].rows[0][1] == mass(first_member)
+
+
+def test_conservation_norms_only_the_series_it_writes(monkeypatch):
+    calls = []
+
+    def counted(state, spec):
+        calls.append(spec)
+        return fl_norm(state, spec)
+
+    monkeypatch.setattr(experiments, "fl_norm", counted)
+    report = run_experiment(
+        "conservation",
+        {"variants": "mkdv,mkdv2", "seeds": "0,1,2", "modes": "8", "dt": "1e-3",
+         "T": "0.02", "save_every": "10"},
+    )
+    saved = len(report.series["mkdv_fl_half_2"].rows)
+    assert saved == 3  # t = 0, 0.01, 0.02
+    # one FL^(1/2,2) series per variant, from its first member only
+    assert len(calls) == 2 * saved
 
 
 def test_conservation_seeds_need_random_preset():

@@ -515,6 +515,9 @@ REJECTED = [
      "config error: --set: empty key"),
     (("solve", "--config", "{tmp}/spaced.cfg", "--out", "{tmp}/o"),
      "spaced.cfg:2 expects key=value, got 'modes 8'"),
+    # refused by its parser, before the missing trajectory is read
+    (("gauge", "--traj", "{tmp}/missing", "--which", "G3", "--out", "{tmp}/o"),
+     "config error: 'which' must be one of G1, G2, got 'G3'"),
 ]
 
 

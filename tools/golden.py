@@ -6,10 +6,12 @@ SRC is the package source directory of a checkout (its ``src``); it goes
 first on sys.path.  OUT must not exist yet.  Each command runs in process
 through ``mkdvlab.cli.main`` with OUT as the working directory, and
 OUT/<command>.txt records its exit code, stdout and stderr with SRC replaced
-by ``<src>``.  Before they run, OUT receives the INPUTS files that some
-commands read: a JSON state, a state CSV that only the line-by-line reader
-accepts, and a solve config file.  Warnings are recorded as category and
-message only, so a moved source line does not show as a difference.
+by ``<src>``; the ``--help`` commands print as the ``mkdvlab`` script
+would, wrapped at 80 columns.  Before they run, OUT receives the INPUTS
+files that some commands read: a JSON state, a state CSV that only the
+line-by-line reader accepts, and a solve config file.  Warnings are
+recorded as category and message only, so a moved source line does not
+show as a difference.
 Run it on two checkouts and compare the two OUT trees with ``diff -r``.
 """
 
@@ -63,7 +65,9 @@ COMMANDS = [experiment(name, "") for name in NAMES] + [
                   "--out csv_norms.json".split()),
     # the flag overrides the file's T
     ("solve_config", "solve --config solve.cfg --T 0.002 --out configured".split()),
-]
+    ("help", ["--help"]),
+] + [(f"help_{name}", [name, "--help"])
+      for name in ("solve", "gauge", "norms", "experiment")]
 
 INPUTS = {
     # cap 2 with mode 0 left out (it reads as zero) and -0 parts, as fmt17
@@ -89,6 +93,9 @@ def show_warning(message, category, *_):
 
 if __name__ == "__main__":
     src, out = (str(pathlib.Path(arg).resolve()) for arg in sys.argv[1:3])
+    # help text as the console script prints it, wrapped at a fixed width
+    sys.argv[0] = "mkdvlab"
+    os.environ["COLUMNS"] = "80"
     sys.path.insert(0, src)
     from mkdvlab.cli import main
 
