@@ -36,7 +36,7 @@ from mkdvlab.experiments import (
     write_report,
 )
 from mkdvlab.gauges import GaugeSpec, invert_gauge
-from mkdvlab.io import canonical_json
+from mkdvlab.io import canonical_json, fmt17
 from mkdvlab.norms import fl_norm, mass, momentum
 from mkdvlab.presets import preset_state
 from mkdvlab.spectral import project_low
@@ -326,6 +326,24 @@ def test_random_momentum_rejects_tiny_sample():
         run_experiment("random_momentum", {"samples": "50"})
     with pytest.raises(ConfigError, match="seed"):
         run_experiment("random_momentum", {"seed": "-1"})
+
+
+@pytest.mark.parametrize("seed, name, key", [
+    ("1", "second_moment_matches", "se_factor"),
+    ("18", "mean_vanishes", "mean_se_factor"),
+])
+def test_random_momentum_verdict_passes_at_its_own_ratio(seed, name, key):
+    # a threshold equal to the reported ratio passes: the verdict is decided
+    # by the value it reports, not by a product that rounds differently
+    config = {"seed": seed, "samples": "400", "n_max": "50", "control_samples": "1"}
+
+    def verdict(report):
+        return next(v for v in report.verdicts if v.name == name)
+
+    observed = verdict(run_experiment("random_momentum", config)).observed
+    again = verdict(run_experiment("random_momentum", {**config, key: fmt17(observed)}))
+    assert again.passed
+    assert again.observed == observed
 
 
 def test_energy_drift_smoke():

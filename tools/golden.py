@@ -65,6 +65,15 @@ COMMANDS = [experiment(name, "") for name in NAMES] + [
                   "--out csv_norms.json".split()),
     # the flag overrides the file's T
     ("solve_config", "solve --config solve.cfg --T 0.002 --out configured".split()),
+    # blows up: exits 2 and writes the partial trajectory with its abort
+    ("solve_abort", "solve --modes 16 --ic gaussian_bump:3,2 --dt 0.01 --T 0.5 "
+                    "--out aborted".split()),
+    ("norms_pretty", "norms --state solved/states/state_000050.csv --pretty".split()),
+    # an explicit sign that agrees with the trajectory, then one that does not
+    ("gauge_sign_plus", "gauge --traj configured --which G1 --sign +1 "
+                        "--out g1_plus".split()),
+    ("gauge_sign_minus", "gauge --traj configured --which G1 --sign -1 "
+                         "--out g1_minus".split()),
     ("help", ["--help"]),
 ] + [(f"help_{name}", [name, "--help"])
       for name in ("solve", "gauge", "norms", "experiment")]
