@@ -37,13 +37,11 @@ from .experiments import (
 )
 from .gauges import GaugeSpec, apply_gauge1, apply_gauge2, invert_gauge, last_gauge
 from .norms import (
-    MomentumSeries,
     NormSpec,
     fl_norm,
     japanese_bracket,
     mass,
     momentum,
-    momentum_limit_diagnostic,
     raised_cosine,
 )
 from .presets import PRESET_NAMES, parse_preset, preset_state
@@ -87,13 +85,11 @@ __all__ = [
     "apply_gauge2",
     "invert_gauge",
     "last_gauge",
-    "MomentumSeries",
     "NormSpec",
     "fl_norm",
     "japanese_bracket",
     "mass",
     "momentum",
-    "momentum_limit_diagnostic",
     "raised_cosine",
     "PRESET_NAMES",
     "parse_preset",

@@ -1,10 +1,9 @@
-"""Weighted Fourier-side norms and momentum diagnostics."""
+"""Weighted Fourier-side norms, mass and momentum."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -65,54 +64,6 @@ def momentum(state: FourierState) -> float:
     """P(u) = sum n |u_hat(n)|^2; real by construction."""
     mags = np.abs(state.coeffs)
     return float(np.sum(state.modes * mags * mags))
-
-
-CoefficientRule = Callable[[int], complex]
-
-
-@dataclasses.dataclass(frozen=True)
-class MomentumSeries:
-    """Truncated momenta P_N along a schedule plus a limit verdict."""
-
-    truncations: tuple[tuple[int, float], ...]
-    verdict: str  # "converged" | "diverging" | "undetermined"
-
-
-def momentum_limit_diagnostic(
-    rule: CoefficientRule,
-    schedule: Sequence[int],
-    tol: float,
-) -> MomentumSeries:
-    """Classify the truncation limit of P_N along an increasing schedule,
-    with u_hat(n) = rule(n).
-
-    converged: the last three successive differences all fall below
-    tol * (1 + |P_last|).  diverging: |P_last| has grown by a factor >= 2
-    over |P_first| across the schedule.  Anything else: undetermined.
-    This is a heuristic on finitely many truncations: for u_hat(n) = n^-1.01
-    the momentum converges, yet it reads "diverging"; where the rule's
-    exponent is known, decide by the exponent instead.
-    """
-    sched = [int(N) for N in schedule]
-    if len(sched) < 4:
-        raise ValueError("schedule needs at least 4 entries")
-    if any(b <= a for a, b in zip(sched, sched[1:])) or sched[0] < 0:
-        raise ValueError("schedule must be strictly increasing and nonnegative")
-
-    ns = np.arange(-sched[-1], sched[-1] + 1)
-    coeffs = np.array([complex(rule(int(n))) for n in ns], dtype=np.complex128)
-    terms = ns * np.abs(coeffs) ** 2
-    values = [float(np.sum(terms[np.abs(ns) <= N])) for N in sched]
-
-    diffs = [abs(b - a) for a, b in zip(values, values[1:])]
-    scale = tol * (1.0 + abs(values[-1]))
-    if all(d <= scale for d in diffs[-3:]):
-        verdict = "converged"
-    elif abs(values[-1]) >= 2.0 * abs(values[0]):
-        verdict = "diverging"
-    else:
-        verdict = "undetermined"
-    return MomentumSeries(tuple(zip(sched, values)), verdict)
 
 
 def raised_cosine(t, span: float):

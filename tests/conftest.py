@@ -163,6 +163,14 @@ def stdout_per_blas_thread_count(code: str) -> list[str]:
     return outputs
 
 
+#: the reduced nonexistence config of tools/golden.py
+REDUCED_NONEXISTENCE = {
+    "modes": "32", "schedule": "4,8,16", "T": "0.2", "save_points": "20",
+    "control_modes": "16", "control_schedule": "8,16",
+    "mom_schedule": "8,16,32,64,128",
+}
+
+
 def random_state(mode_cap: int, seed: int, scale: float = 0.3) -> FourierState:
     rng = np.random.default_rng(seed)
     size = 2 * mode_cap + 1

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import REDUCED_NONEXISTENCE
 from mkdvlab import __version__, experiments
 from mkdvlab.dynamics import (
     EquationSpec,
@@ -466,14 +467,6 @@ def test_multiplier_probe_validates_radii():
         run_experiment("multiplier_probe", {"n_list": "0,1048577"})
 
 
-#: the reduced nonexistence config of tools/golden.py
-REDUCED_NONEXISTENCE = {
-    "modes": "32", "schedule": "4,8,16", "T": "0.2", "save_points": "20",
-    "control_modes": "16", "control_schedule": "8,16",
-    "mom_schedule": "8,16,32,64,128",
-}
-
-
 def test_nonexistence_reduced_smoke():
     # far below the asymptotic regime; checks structure and the controls,
     # not the mechanism verdicts (the full run lives in the acceptance gate)
@@ -511,11 +504,25 @@ def test_nonexistence_schedule_validation():
             run_experiment("nonexistence", {**REDUCED_NONEXISTENCE, key: cutoffs})
 
 
+def momentum_verdict(report):
+    return next(v for v in report.verdicts if v.name == "momentum_diverges")
+
+
 def test_nonexistence_data_gates_decide_by_the_exponent():
     # Sum n^-e converges iff e > 1.  At alpha = 1 the momentum series is
     # harmonic: it diverges, although its dyadic block ratio reads below 1.
-    report = run_experiment("nonexistence", {**REDUCED_NONEXISTENCE, "alpha": "1"})
+    # momentum_diverges certifies it from the four cutoffs of a short schedule.
+    for alpha in ("0.9", "1"):
+        report = run_experiment("nonexistence", {
+            **REDUCED_NONEXISTENCE, "alpha": alpha, "mom_schedule": "32,64,128,256"})
+        assert momentum_verdict(report).passed, alpha
     assert report.scalars["divergence_block_ratio"] < 1.0
+    # for alpha < 1/2 the terms n^(1 - 2 alpha) increase along a block, so the
+    # bound takes its smallest term, N^(1 - 2 alpha), not (2N)^(1 - 2 alpha)
+    report = run_experiment("nonexistence", {**REDUCED_NONEXISTENCE, "alpha": "0.3",
+                                             "s": "-1"})
+    blocks = [math.fsum(n**0.4 for n in range(8 * 2**k + 1, 16 * 2**k + 1)) for k in range(8)]
+    assert momentum_verdict(report).observed <= min(blocks)
     # p (alpha - s) = 2.5 * 0.4 = 1 exactly: the data lie outside FL^(1/2, 5/2)
     with pytest.raises(ConfigError, match=r"outside FL\^\(s,p\)"):
         run_experiment("nonexistence", {"s": "0.5", "p": "2.5", "alpha": "0.9"})

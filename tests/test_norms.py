@@ -1,19 +1,11 @@
-"""Norm functionals, momentum diagnostics, and their frozen oracle values."""
+"""Norm functionals, mass and momentum, and their frozen oracle values."""
 
 import numpy as np
 import pytest
 
-from conftest import stdout_per_blas_thread_count
-from mkdvlab.norms import (
-    MomentumSeries,
-    NormSpec,
-    fl_norm,
-    japanese_bracket,
-    mass,
-    momentum,
-    momentum_limit_diagnostic,
-    raised_cosine,
-)
+from conftest import REDUCED_NONEXISTENCE, stdout_per_blas_thread_count
+from mkdvlab.experiments import run_experiment
+from mkdvlab.norms import NormSpec, fl_norm, japanese_bracket, mass, momentum, raised_cosine
 from mkdvlab.presets import preset_state
 from mkdvlab.spectral import FourierState, project_low, state_from_modes
 
@@ -96,73 +88,33 @@ def test_momentum_sign_indefinite():
     assert momentum(minus) == -1.0
 
 
-def test_truncated_momentum_state_and_rule_agree():
-    state = preset_state(64, "one_sided:0.9")
+@pytest.fixture(scope="module")
+def one_sided_momenta():
+    """(momentum_rule, momentum_data) of a reduced nonexistence run on the
+    one-sided n^-0.9 data, as {N: P_N}; the states are capped at 32."""
+    config = {**REDUCED_NONEXISTENCE, "mom_schedule": "4,8,16,32,64,128,256"}
+    report = run_experiment("nonexistence", config)
+    return tuple(dict(report.series[name].rows) for name in ("momentum_rule", "momentum_data"))
 
-    def rule(n):
-        return float(n) ** -0.9 if n >= 1 else 0.0
 
-    schedule = [4, 16, 64, 128]
-    from_state = [momentum(project_low(state, cutoff)) for cutoff in schedule]
-    from_rule = momentum_limit_diagnostic(rule, schedule, tol=1e-6).truncations
-    for p_state, (cutoff, p_rule) in zip(from_state[:3], from_rule[:3]):
-        assert p_state == pytest.approx(p_rule, rel=1e-14), cutoff
+def test_truncated_momentum_state_and_rule_agree(one_sided_momenta):
+    rule, data = one_sided_momenta
+    assert list(data) == [4, 8, 16]
+    for cutoff, p_state in data.items():
+        assert p_state == pytest.approx(rule[cutoff], rel=1e-14), cutoff
     # beyond the cap the state has no modes; the rule keeps summing
-    assert from_state[3] == pytest.approx(from_state[2], rel=1e-15)
-    assert from_rule[3][1] > from_rule[2][1]
+    state = preset_state(64, "one_sided:0.9")
+    assert momentum(project_low(state, 128)) == pytest.approx(momentum(state), rel=1e-15)
+    assert rule[128] > rule[64]
 
 
 # P_N = sum_{n<=N} n^(1-1.8) for the one-sided n^-0.9 data, pinned once.
 ONE_SIDED_MOMENTA = {32: 5.593581, 64: 7.067356, 128: 8.767839, 256: 10.725545}
 
 
-def test_truncated_momentum_frozen_table():
-    def rule(n):
-        return float(n) ** -0.9 if n >= 1 else 0.0
-
-    series = momentum_limit_diagnostic(rule, list(ONE_SIDED_MOMENTA), tol=1e-6)
-    assert dict(series.truncations) == pytest.approx(ONE_SIDED_MOMENTA, abs=5e-7)
-
-
-def test_momentum_diagnostic_converged():
-    def rule(n):
-        return float(n) ** -2.0 if n >= 1 else 0.0
-
-    series = momentum_limit_diagnostic(rule, [64, 128, 256, 512, 1024], tol=1e-4)
-    assert isinstance(series, MomentumSeries)
-    assert series.verdict == "converged"
-    # the last truncation is sum n^-3; zeta(3) minus a tiny tail
-    assert series.truncations[-1][1] == pytest.approx(1.2020569, abs=1e-4)
-
-
-def test_momentum_diagnostic_diverging():
-    def rule(n):
-        return float(n) ** -0.9 if n >= 1 else 0.0
-
-    schedule = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
-    series = momentum_limit_diagnostic(rule, schedule, tol=1e-6)
-    assert series.verdict == "diverging"
-    # P_N ~ N^0.2 / 0.2: slow growth, but a factor >= 2 over this range
-    assert series.truncations[-1][1] / series.truncations[0][1] > 2.0
-
-
-def test_momentum_diagnostic_undetermined():
-    def rule(n):
-        return float(n) ** -0.9 if n >= 1 else 0.0
-
-    # too short a schedule to grow 2x, too coarse to look settled
-    series = momentum_limit_diagnostic(rule, [32, 64, 128, 256], tol=1e-9)
-    assert series.verdict == "undetermined"
-
-
-def test_momentum_diagnostic_validation():
-    def rule(n):
-        return 0.0
-
-    with pytest.raises(ValueError):
-        momentum_limit_diagnostic(rule, [1, 2, 3], tol=1e-6)
-    with pytest.raises(ValueError):
-        momentum_limit_diagnostic(rule, [8, 4, 16, 32], tol=1e-6)
+def test_truncated_momentum_frozen_table(one_sided_momenta):
+    rule, _ = one_sided_momenta
+    assert {N: rule[N] for N in ONE_SIDED_MOMENTA} == pytest.approx(ONE_SIDED_MOMENTA, abs=5e-7)
 
 
 def test_raised_cosine_window():

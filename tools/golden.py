@@ -41,6 +41,8 @@ COMMANDS = [experiment(name, "") for name in NAMES] + [
     experiment("conservation", "_neg_sign", "sign=-1", "seeds=0", "T=0.1"),
     experiment("nonexistence", "_t0.01", "T=0.01", "save_points=2"),
     experiment("nonexistence", "_reduced", *REDUCED),
+    # four momentum cutoffs, the fewest mom_schedule takes
+    experiment("nonexistence", "_short_mom", *REDUCED, "mom_schedule=32,64,128,256"),
     # dt_cap below every cutoff's stable step, in both arms
     experiment("nonexistence", "_dtcap", *REDUCED, "dt_cap=2e-4", "sign=-1"),
     experiment("nonexistence", "_neg_schedule", *REDUCED, "schedule=-4,16"),
