@@ -291,6 +291,9 @@ def main(argv=None) -> None:
     except ValueError as exc:
         click.echo(f"invalid value: {exc}", err=True)
         sys.exit(1)
+    except MemoryError as exc:
+        click.echo(f"out of memory: {exc}", err=True)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

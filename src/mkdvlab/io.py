@@ -89,8 +89,8 @@ def state_to_csv_text(state: FourierState) -> str:
 
 @functools.lru_cache(maxsize=64)
 def _csv_mode_cells(cap: int) -> tuple[str, ...]:
-    """Every third cell of a canonical CSV body split as in ``_canonical_csv``."""
-    return (str(-cap), *(f"\n{n}" for n in range(1 - cap, cap + 1)), "\n")
+    """Every third cell of the writer's body split as in ``_canonical_csv``."""
+    return tuple(_csv_template(cap)[8:].replace("\n", ",\n").split(",")[::3])
 
 
 # the ASCII characters besides "\n" at which str.splitlines breaks a line
@@ -159,7 +159,7 @@ def _state_from_csv_lines(text: str, time: float, source) -> FourierState:
     if not rows:
         raise ValueError(f"{source}: carries no modes")
     cap = max(abs(n) for n in rows)
-    if sorted(rows) != list(range(-cap, cap + 1)):
+    if len(rows) != 2 * cap + 1:  # distinct modes, each |n| <= cap
         raise ValueError(f"{source}: must list every mode -M..M exactly once")
     coeffs = np.array([rows[n] for n in range(-cap, cap + 1)])
     return FourierState(coeffs, cap, time)
@@ -259,9 +259,7 @@ def trajectory_to_dir(trajectory: Trajectory, directory, extra_manifest=None) ->
         else dataclasses.asdict(trajectory.equation),
         "metadata": trajectory.metadata,
     }
-    if extra_manifest:
-        for key, value in extra_manifest.items():
-            manifest[key] = value
+    manifest.update(extra_manifest or {})
     (directory / "manifest.json").write_text(canonical_json(manifest))
     for k, state in enumerate(trajectory.states):
         (states_dir / f"state_{k:06d}.csv").write_text(state_to_csv_text(state))

@@ -35,8 +35,6 @@ def _weighted_lp(values: np.ndarray, p: float) -> float:
     """l^p of nonnegative values; p = inf gives the sup."""
     if math.isinf(p):
         return float(np.max(values, initial=0.0))
-    if p == 1.0:
-        return float(np.sum(values))
     if p == 2.0:
         return float(np.sqrt(np.sum(values * values)))
     return float(np.sum(values**p) ** (1.0 / p))

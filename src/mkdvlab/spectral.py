@@ -149,21 +149,18 @@ def padded_grid_size(mode_cap: int) -> int:
 @functools.lru_cache(maxsize=64)
 def _next_fast_len(target: int, primes: tuple[int, ...]) -> int:
     """The smallest integer >= target (>= 1) with no prime factor outside
-    ``primes``, which must start with 2.
+    ``primes``, in any order, found by counting up from the target.
 
     With primes 2..11 this is ``scipy.fft.next_fast_len(target)``, and with
     2, 3, 5 it is ``next_fast_len(target, real=True)``: the lengths pocketfft
     transforms fastest.
     """
-    power_of_two = 1 << (target - 1).bit_length()
-    # every product of the odd primes up to that power of two, each then
-    # doubled until it reaches the target
-    odd = [1]
-    for prime in primes[1:]:
-        grown = []
-        for product in odd:
-            while product <= power_of_two:
-                grown.append(product)
-                product *= prime
-        odd = grown
-    return min(product << ((target - 1) // product).bit_length() for product in odd)
+    length = max(1, target)
+    while True:
+        rest = length
+        for prime in primes:
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return length
+        length += 1

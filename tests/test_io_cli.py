@@ -96,6 +96,9 @@ def test_state_csv_validation():
     # duplicate mode
     with pytest.raises(ValueError):
         state_from_csv_text("n,re,im\n0,1,0\n0,2,0\n")
+    # mode 2^62 alone: refused by the row count, without building -M..M
+    with pytest.raises(ValueError, match="every mode -M..M exactly once"):
+        state_from_csv_text("n,re,im\n4611686018427387904,0,0\n")
 
 
 def per_row_csv_text(state):
@@ -359,6 +362,16 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert str(named) in err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 149. GiB")
+
+    # running out of memory anywhere in a command: one line, exit code 1
+    monkeypatch.setattr(mkdvlab.cli, "run_experiment", out_of_memory)
+    assert run_cli("experiment", "random_momentum", "--out", str(tmp_path / "oom")) == 1
+    err = capsys.readouterr().err
+    assert err == "out of memory: Unable to allocate 149. GiB\n"
+    assert "Traceback" not in err
     monkeypatch.undo()
     assert a_file.read_text() == ""
     # manifests with a gauge record missing its sign or with metadata that is

@@ -47,6 +47,10 @@ def test_fl_norm_flavors_consistent():
     assert fl_norm(state, NormSpec(0.0, 4.0)) == pytest.approx(
         (81.0 + 256.0) ** 0.25, rel=1e-15
     )
+    # p = 1 is the plain weighted sum, bit for bit
+    state = state_from_modes(5, {n: (0.3 - 1.1j) * (n + 0.7) for n in range(-5, 6)})
+    weights = japanese_bracket(state.modes) ** 0.75
+    assert fl_norm(state, NormSpec(0.75, 1.0)) == float(np.sum(weights * abs(state.coeffs)))
 
 
 def test_norm_spec_rejects_bad_exponent():
