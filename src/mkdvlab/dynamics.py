@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-import sys
 import warnings
 from typing import Sequence
 
@@ -433,11 +432,12 @@ def _solve_each(jobs: Sequence[tuple]) -> list[Trajectory]:
     fork is not safe with.  Workers are forked, not spawned: a spawned one
     would import numpy and scipy again, which takes about as long as a
     short solve.  The longest jobs (steps x padded grid length) are handed
-    out first; results come back in job order, bitwise the loop's.  Each job's
-    warnings are issued again here, in job order, from their own source
-    lines.  When jobs raise, the lowest-index job's exception is raised
-    after the warnings of the jobs before it, as the loop would raise it
-    (without the worker's traceback).
+    out first; results come back in job order, bitwise the loop's.  A job's
+    stability warnings travel in its outcome's metadata; they are issued
+    here in job order, from the line an in-process solve uses.  When jobs
+    raise, the lowest-index job's exception is raised after the warnings
+    of the jobs before it, as the loop would raise it (without the
+    worker's traceback).
     """
     jobs = list(jobs)
     getaffinity = getattr(os, "sched_getaffinity", None)
@@ -465,44 +465,32 @@ def _solve_each(jobs: Sequence[tuple]) -> list[Trajectory]:
 
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        futures = {i: pool.submit(_recorded_solve, jobs[i]) for i in longest_first}
+        futures = {i: pool.submit(_solo_outcome, jobs[i]) for i in longest_first}
         outcomes = [futures[i].result() for i in range(len(jobs))]
-    for outcome, caught in outcomes:
-        for message, filename, lineno in caught:
-            _warn_again(message, filename, lineno)
+    for outcome in outcomes:
+        # an abort carries its metadata on its partial; other exceptions none
+        solved = getattr(outcome, "partial", outcome)
+        for message in getattr(solved, "metadata", {}).get("warnings", ()):
+            _warn_unstable(message)
         if isinstance(outcome, Exception):
             raise outcome
-    return [outcome for outcome, _ in outcomes]
+    return outcomes
 
 
-def _recorded_solve(job: tuple):
-    """Worker side of ``_solve_each``: solve's outcome and the warnings it issued."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            outcome = solve(*job)
-        except Exception as exc:
-            outcome = exc
-    return outcome, [(w.message, w.filename, w.lineno) for w in caught]
+def _solo_outcome(job: tuple):
+    """Worker side of ``_solve_each``: solve_many's outcome, or the exception."""
+    # the parent issues the warnings; a forked worker has one thread
+    warnings.simplefilter("ignore", StabilityWarning)
+    state, equation, *grid = job
+    try:
+        return solve_many((state,), (equation,), *grid)[0]
+    except Exception as exc:
+        return exc
 
 
-def _warn_again(message: Warning, filename: str, lineno: int) -> None:
-    """Issue a worker's warning as ``warnings.warn`` at filename:lineno would.
-
-    The module that owns ``filename`` supplies the name the filters match
-    and the registry that the 'default' and 'module' actions consult.
-    """
-    owner = next(
-        (mod for mod in list(sys.modules.values())
-         if getattr(mod, "__file__", None) == filename),
-        None,
-    )
-    namespace = vars(owner) if owner is not None else {}
-    warnings.warn_explicit(
-        message, type(message), filename, lineno,
-        module=namespace.get("__name__"),
-        registry=namespace.setdefault("__warningregistry__", {}),
-    )
+def _warn_unstable(message: str) -> None:
+    """Issue a StabilityWarning, from this one line on every path."""
+    warnings.warn(message, StabilityWarning)
 
 
 def raise_first_abort(results: Sequence[Trajectory | SolverAbort]) -> list[Trajectory]:
@@ -562,7 +550,7 @@ def solve_many(
                 f"dt = {dt:g} exceeds the stability heuristic "
                 f"0.5/(M max|u|^2 + 1) = {dt_limit:g}"
             )
-            warnings.warn(message, StabilityWarning)
+            _warn_unstable(message)
             meta_warnings.append(message)
         metadata.append({
             "dt_step": dt,

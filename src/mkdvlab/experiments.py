@@ -694,11 +694,20 @@ ILLPOSEDNESS_SCHEMA = {
 
 
 def _illposedness_frequency(n: int, s: float) -> tuple[int, float]:
-    """Smallest N with t_n = pi N^{2s-1} / ((1+1/n)^2 - 1) at most 1/n."""
+    """Smallest N with t_n = pi N^{2s-1} / ((1+1/n)^2 - 1) at most 1/n.
+
+    Refuses, with a ConfigError, an N above RESONANCE_DOMAIN.
+    """
     gap = (1.0 + 1.0 / n) ** 2 - 1.0
-    target = (math.pi * n / gap) ** (1.0 / (1.0 - 2.0 * s))
-    N = max(1, math.ceil(target - 1e-12))
+    try:
+        N = max(1, math.ceil((math.pi * n / gap) ** (1.0 / (1.0 - 2.0 * s)) - 1e-12))
+    except OverflowError:  # the power, or the ceiling of an infinite one
+        N = math.inf
+    if N > RESONANCE_DOMAIN:
+        raise ConfigError(f"'s' = {s!r} needs N_n above {RESONANCE_DOMAIN} at n = {n}")
     t_n = math.pi * float(N) ** (2.0 * s - 1.0) / gap
+    if t_n > 1.0 / n + 1e-12:
+        raise ConfigError(f"N rule produced t_n = {t_n} > 1/{n}")
     return N, t_n
 
 
@@ -713,11 +722,10 @@ def exp_illposedness(opt) -> Findings:
     """
     s, sign, n_list = opt.s, opt.sign, opt.n_list
     spec = NormSpec(s, opt.p)
+    # every frequency is checked before the first solve
+    Ns, t_ns = zip(*(_illposedness_frequency(n, s) for n in n_list))
 
-    def run(n):
-        N, t_n = _illposedness_frequency(n, s)
-        if t_n > 1.0 / n + 1e-12:
-            raise ConfigError(f"N rule produced t_n = {t_n} > 1/{n}")
+    def run(n, N, t_n):
         amps = (1.0, 1.0 + 1.0 / n)
         scale = float(N) ** -s
         # nonlinear rotation rates; the larger one fixes the accuracy-driven step
@@ -746,9 +754,9 @@ def exp_illposedness(opt) -> Findings:
             *(weight * abs(st.coeff(N) - exact_coeff(k, st.time))
               for k, trajectory in enumerate(trajs) for st in trajectory.states),
         )
-        return N, t_n, initial_gap, analytic_gap, solver_gap, largest
+        return initial_gap, analytic_gap, solver_gap, largest
 
-    Ns, t_ns, initial_gaps, analytic_gaps, solver_gaps, errors = zip(*map(run, n_list))
+    initial_gaps, analytic_gaps, solver_gaps, errors = zip(*map(run, n_list, Ns, t_ns))
     agreement = max(errors)
 
     decay_dev = max(
@@ -757,7 +765,7 @@ def exp_illposedness(opt) -> Findings:
         )
         for gap, n, N in zip(initial_gaps, n_list, Ns)
     )
-    times_ok = all(b < a for a, b in zip(t_ns, t_ns[1:]))  # run() refused t_n > 1/n
+    times_ok = all(b < a for a, b in zip(t_ns, t_ns[1:]))  # t_n > 1/n was refused
 
     series = {
         "initial_distance": Series("n", "fl_gap", tuple(zip(n_list, initial_gaps))),
@@ -1002,6 +1010,10 @@ def exp_apriori_probe(opt) -> Findings:
     equation = EquationSpec(opt.variant, opt.sign)
 
     initials = [base.with_(coeffs=base.coeffs * amp) for amp in opt.amplitudes]
+    norms0 = [fl_norm(initial, spec) for initial in initials]
+    if 0.0 in norms0:  # the bound shape would be 0
+        amp = opt.amplitudes[norms0.index(0.0)]
+        raise ConfigError(f"'ic' has FL^(s,p) norm 0 at amplitude {fmt17(amp)}")
     outcomes = solve_many(
         initials, [equation] * len(initials), opt.dt, opt.T, opt.save_every
     )
@@ -1009,11 +1021,10 @@ def exp_apriori_probe(opt) -> Findings:
     failures, ratios = [], []
     series: dict[str, Series] = {}
     scalars: dict[str, float] = {}
-    for amp, initial, outcome in zip(opt.amplitudes, initials, outcomes):
+    for amp, norm0, outcome in zip(opt.amplitudes, norms0, outcomes):
         if isinstance(outcome, SolverAbort):
             failures.append(f"amp {fmt17(amp)}: {outcome}")
             continue
-        norm0 = fl_norm(initial, spec)
         bound = (1.0 + norm0) ** (p / 2.0 - 1.0) * norm0
         norms = [fl_norm(st, spec) for st in outcome.states]
         ratio = float(np.max(norms)) / bound

@@ -212,8 +212,9 @@ def _finite(value, low=-math.inf) -> float:
 
 def state_from_json_text(text: str, source="JSON state") -> FourierState:
     payload = {"time": 0.0, **_json_object(text, source)}
-    cap = _field(payload, "mode_cap", _count, source)
-    coeffs = np.zeros(2 * cap + 1, dtype=np.complex128)
+    coeffs = _field(payload, "mode_cap", lambda cap: np.zeros(
+        2 * _count(cap) + 1, dtype=np.complex128), source)
+    cap = coeffs.size // 2
     rows = _field(payload, "coeffs", lambda rows: [
         (_integer(n), complex(float(re), float(im))) for n, re, im in rows
     ], source)

@@ -650,6 +650,23 @@ def test_solve_each_warns_in_job_order_on_every_path(monkeypatch):
         assert_same_trajectory(got, want)
 
 
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_parent_warning_filters_govern_forked_jobs(monkeypatch, cpus):
+    calm = preset_state(8, "plane_wave:2,0.1,0")
+    loud = [preset_state(8, f"plane_wave:2,{amp},0") for amp in (3, 4)]
+    dt = 2 * stability_dt_limit(loud[0])
+    jobs = [(state, EquationSpec("mkdv", 1), dt, 4 * dt) for state in (calm, loud[1], loud[0])]
+    use_cpus(monkeypatch, cpus)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", StabilityWarning)
+        with pytest.raises(StabilityWarning) as raised:
+            _solve_each(jobs)
+    assert str(raised.value) == (
+        f"dt = {dt:g} exceeds the stability heuristic 0.5/(M max|u|^2 + 1) = "
+        f"{stability_dt_limit(loud[1]):g}"
+    )
+
+
 def test_solve_each_raises_the_lowest_index_abort(monkeypatch):
     # jobs 1 and 2 abort; job 2, the costlier, is dispatched first; job 3
     # warns, but the serial loop never reaches it

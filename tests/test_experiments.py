@@ -298,6 +298,17 @@ def test_illposedness_frequency_table():
     assert _illposedness_frequency(2, 0.25)[0] == 26
 
 
+@pytest.mark.parametrize("s", ["0.4999", "0.45"])
+def test_illposedness_refuses_frequencies_beyond_the_domain(monkeypatch, s):
+    # 0.4999 overflows the power; 0.45 gives N = 10,296,712 at n = 2
+    def no_solve(*args):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(experiments, "solve_many", no_solve)
+    with pytest.raises(ConfigError, match=rf"^'s' = {s} needs N_n above 1048576 at n = 2$"):
+        run_experiment("illposedness", {"s": s})
+
+
 def test_illposedness_smoke():
     report = run_experiment("illposedness", {"n_list": "2", "save_points": "4"})
     assert report.all_passed
@@ -437,6 +448,11 @@ def test_apriori_validates_exponents():
         run_experiment("apriori_probe", {"s": "0.8", "p": "3"})  # s >= 1 - 1/p
     with pytest.raises(ConfigError):
         run_experiment("apriori_probe", {"amplitudes": "1.0,0.5"})
+    # a zero-norm member, exactly or by underflow, would divide by zero
+    refusal = r"^'ic' has FL\^\(s,p\) norm 0 at amplitude 0\.25$"
+    for overrides in ({"ic": "zero"}, {"p": "400"}):
+        with pytest.raises(ConfigError, match=refusal):
+            run_experiment("apriori_probe", overrides)
 
 
 def test_multiplier_probe_smoke():

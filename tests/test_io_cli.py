@@ -409,6 +409,7 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     for name, field, change in (
         ("cap_frac", "mode_cap", {"mode_cap": 4.5}),
         ("cap_bool", "mode_cap", {"mode_cap": True}),
+        ("cap_huge", "mode_cap", {"mode_cap": 2**62}),
         ("mode_frac", "coeffs", {"coeffs": [[1.6, 1.0, 0.0]]}),
         ("mode_twice", "coeffs", {"coeffs": [[2, 1.0, 0.0], [2, 0.5, 0.0]]}),
         ("time_nan", "time", {"time": float("nan")}),

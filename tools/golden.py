@@ -9,9 +9,10 @@ OUT/<command>.txt records its exit code, stdout and stderr with SRC replaced
 by ``<src>``; the ``--help`` commands print as the ``mkdvlab`` script
 would, wrapped at 80 columns.  Before they run, OUT receives the INPUTS
 files that some commands read: a JSON state, a state CSV that only the
-line-by-line reader accepts, one naming a single huge mode, and a solve
-config file.  Warnings are recorded as category and message only, so a
-moved source line does not show as a difference.
+line-by-line reader accepts, one naming a single huge mode, a JSON state
+with a huge mode cap, and a solve config file.  Warnings are recorded as
+category and message only, so a moved source line does not show as a
+difference.
 Run it on two checkouts and compare the two OUT trees with ``diff -r``.
 """
 
@@ -79,9 +80,14 @@ COMMANDS = [experiment(name, "") for name in NAMES] + [
     ("help", ["--help"]),
 ] + [(f"help_{name}", [name, "--help"])
       for name in ("solve", "gauge", "norms", "experiment")]
-# last, so the commands before it stay comparable with a checkout whose
-# reader escapes main on this file
-COMMANDS.append(("norms_huge_mode", "norms --state huge_mode.csv".split()))
+# last, so the commands before them stay comparable with a checkout that
+# escapes main on one of them
+COMMANDS += [
+    ("norms_huge_mode", "norms --state huge_mode.csv".split()),
+    ("norms_huge_cap", "norms --state huge_cap.json".split()),
+    experiment("illposedness", "_near_half", "s=0.4999"),
+    experiment("apriori_probe", "_zero", "ic=zero"),
+]
 
 INPUTS = {
     # cap 2 with mode 0 left out (it reads as zero) and -0 parts, as fmt17
@@ -99,6 +105,8 @@ INPUTS = {
                  "T = 0.01\nic = plane_wave:2,1,0\n",
     # one row naming mode 2^62: refused by its row count, exit 1
     "huge_mode.csv": "n,re,im\n4611686018427387904,0,0\n",
+    # mode_cap 2^62, too large to allocate: refused naming the file, exit 1
+    "huge_cap.json": '{"coeffs": [], "mode_cap": 4611686018427387904}\n',
 }
 
 
