@@ -283,61 +283,89 @@ def j1_multiplier_sum(n: int, s: float, p: float, radius: int) -> float:
     over products has no such form, so p = 1 stays a dense O(R^2) scan in
     row blocks.
     """
+    return _j1_sums(n, s, p, (radius,))[0]
+
+
+# weights beyond float64 become inf or nan; each sum's finiteness check reports them
+@np.errstate(all="ignore")
+def _j1_sums(n: int, s: float, p: float, radii: Sequence[int]) -> tuple[float, ...]:
+    """j1_multiplier_sum(n, s, p, R) for each R in radii, in that order.
+
+    a and c are built once, at the largest radius top; radius R sums the
+    centred slices a[top-R : top+R+1] and c[2top-2R : 2top+2R+1].  Those
+    hold the values that radius R alone would build, and each R keeps its
+    own FFT length, rounding estimate and fallback, so every sum keeps its
+    bits.  A sum that is not finite raises ValueError naming (n, s, p, R).
+    """
     _check_resonance_domain(n)
-    if radius < 0 or radius > J1_MAX_RADIUS:
+    if any(radius < 0 or radius > J1_MAX_RADIUS for radius in radii):
         raise ValueError("radius must lie in 0..2^16")
-    if radius == 0:
-        return 0.0
     p = float(p)
     if not p >= 1.0:  # rejects NaN too
         raise ValueError("p must satisfy p >= 1")
     conjugate = 1.0 if p == 1.0 or math.isinf(p) else p / (p - 1.0)
 
     n = int(n)
-    k = np.arange(-radius, radius + 1, dtype=np.float64)
+    top = max(radii, default=0)
+    k = np.arange(-top, top + 1, dtype=np.float64)
     gap = np.abs(n - k)
-    a = np.zeros_like(k)
+    a_top = np.zeros_like(k)
     live = gap != 0
-    a[live] = (japanese_bracket(k[live]) ** s * np.sqrt(gap[live])) ** -conjugate
+    a_top[live] = (japanese_bracket(k[live]) ** s * np.sqrt(gap[live])) ** -conjugate
 
-    m = np.arange(-2 * radius, 2 * radius + 1, dtype=np.float64)
-    c = np.zeros_like(m)
+    m = np.arange(-2 * top, 2 * top + 1, dtype=np.float64)
+    c_top = np.zeros_like(m)
     live = m != 0
     n3 = n - m[live]
-    c[live] = (
+    c_top[live] = (
         japanese_bracket(float(n)) ** s
         * np.abs(n3)
         / (np.sqrt(3.0 * np.abs(m[live])) * japanese_bracket(n3) ** s)
     ) ** conjugate
 
-    if p == 1.0:
-        # row i of the Hankel view holds c at n1 + n2 for n1 = i - radius
-        hankel = np.lib.stride_tricks.sliding_window_view(c, k.size)
-        # row blocks keep the (2R+1)^2 products out of memory at large radii
-        block = max(1, (1 << 22) // k.size)
-        return max(
-            float(np.max(a[i : i + block, None] * a * hankel[i : i + block]))
-            for i in range(0, k.size, block)
-        )
-    # np.add.reduce, not BLAS, here and in the norms below: a threaded dot
-    # sums in an order that depends on the BLAS thread count
-    size = _next_fast_len(m.size, (2, 3, 5))
-    spectrum = np.fft.rfft(a, size)
-    total = float(np.add.reduce(c * np.fft.irfft(spectrum * spectrum, size)[: m.size]))
-    # The FFT's rounding is normwise, eps log2(size) |a|_1 |a|_2 |c|_2, which
-    # overstates the observed error 30-fold or more.  When s < 1/2 and p is
-    # near 1, c grows where a * a is tiny and that error swamps the sum; the
-    # direct O(R^2) convolution of the nonnegative a is accurate termwise.
-    estimate = (
-        np.finfo(np.float64).eps
-        * math.log2(size)
-        * np.sum(a)
-        * np.sqrt(np.add.reduce(np.square(a)))
-        * np.sqrt(np.add.reduce(np.square(c)))
-    )
-    if not estimate <= J1_FFT_TOLERANCE * total:
-        total = float(np.add.reduce(c * np.convolve(a, a)))
-    return total
+    sums = []
+    for radius in radii:
+        if radius == 0:
+            sums.append(0.0)
+            continue
+        a = a_top[top - radius : top + radius + 1]
+        c = c_top[2 * (top - radius) : 2 * (top + radius) + 1]
+        if p == 1.0:
+            # row i of the Hankel view holds c at n1 + n2 for n1 = i - radius
+            hankel = np.lib.stride_tricks.sliding_window_view(c, a.size)
+            # row blocks keep the (2R+1)^2 products out of memory at large radii
+            block = max(1, (1 << 22) // a.size)
+            total = max(
+                float(np.max(a[i : i + block, None] * a * hankel[i : i + block]))
+                for i in range(0, a.size, block)
+            )
+        else:
+            # np.add.reduce, not BLAS, here and in the norms below: a threaded
+            # dot sums in an order that depends on the BLAS thread count
+            size = _next_fast_len(c.size, (2, 3, 5))
+            spectrum = np.fft.rfft(a, size)
+            total = float(np.add.reduce(c * np.fft.irfft(spectrum * spectrum, size)[: c.size]))
+            # The FFT's rounding is normwise, eps log2(size) |a|_1 |a|_2 |c|_2,
+            # which overstates the observed error 30-fold or more.  When s < 1/2
+            # and p is near 1, c grows where a * a is tiny and that error swamps
+            # the sum; the direct O(R^2) convolution of the nonnegative a is
+            # accurate termwise.
+            estimate = (
+                np.finfo(np.float64).eps
+                * math.log2(size)
+                * np.sum(a)
+                * np.sqrt(np.add.reduce(np.square(a)))
+                * np.sqrt(np.add.reduce(np.square(c)))
+            )
+            if not estimate <= J1_FFT_TOLERANCE * total:
+                total = float(np.add.reduce(c * np.convolve(a, a)))
+        if not math.isfinite(total):
+            raise ValueError(
+                f"J'_1 sum at n = {n}, s = {s}, p = {p}, radius = {radius} "
+                f"is not finite: its weights overflow float64"
+            )
+        sums.append(total)
+    return tuple(sums)
 
 
 def stability_dt_limit(state: FourierState) -> float:

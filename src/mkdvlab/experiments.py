@@ -15,7 +15,6 @@ serialization is byte-stable across runs.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 import pathlib
 from collections.abc import Sequence
@@ -29,8 +28,8 @@ from .dynamics import (
     RESONANCE_DOMAIN,
     VARIANTS,
     EquationSpec,
+    _j1_sums,
     _solve_each,
-    j1_multiplier_sum,
     phase_schedule,
     raise_first_abort,
     solve,
@@ -123,13 +122,16 @@ class ExperimentReport:
 
 def write_report(report: ExperimentReport, directory) -> None:
     """report.json plus one series/<name>.csv per series."""
+    # every text is built first: one that cannot be serialized leaves no directory
+    report_text = canonical_json(report.to_dict())
+    series_texts = {key: series_to_csv_text(s.xlabel, s.ylabel, s.rows)
+                    for key, s in report.series.items()}
     directory = pathlib.Path(directory)
     series_dir = directory / "series"
     series_dir.mkdir(parents=True, exist_ok=True)
-    (directory / "report.json").write_text(canonical_json(report.to_dict()))
-    for key, s in report.series.items():
-        path = series_dir / f"{key}.csv"
-        path.write_text(series_to_csv_text(s.xlabel, s.ylabel, s.rows))
+    (directory / "report.json").write_text(report_text)
+    for key, csv_text in series_texts.items():
+        (series_dir / f"{key}.csv").write_text(csv_text)
 
 
 #: What an experiment body returns: series, scalars and verdicts.
@@ -1062,9 +1064,9 @@ def exp_apriori_probe(opt) -> Findings:
 
 MULTIPLIER_SCHEMA = {
     "pairs": ("0.5:2,0.75:8", distinct(some_of(sp_pair))),
-    "n_list": ("0,32,-32,256,-256", at_least(1, list_of(_checked(
+    "n_list": ("0,32,-32,256,-256", distinct(at_least(1, list_of(_checked(
         integer, lambda n: abs(n) <= RESONANCE_DOMAIN, f"at most {RESONANCE_DOMAIN} in size"
-    )))),
+    ))))),
     "radii": ("64,128,256,512,1024,2048,4096", _checked(
         at_least(3, list_of(positive(integer))),
         lambda radii: all(b == 2 * a for a, b in zip(radii, radii[1:]))
@@ -1087,7 +1089,7 @@ def exp_multiplier_probe(opt) -> Findings:
         worst_change = 0.0
         last_sums = []
         for n in n_list:
-            sums = tuple(j1_multiplier_sum(n, s, p, K) for K in radii)
+            sums = _j1_sums(n, s, p, radii)
             series[f"j1_{tag}_n{n}"] = Series(
                 "K", "j1_sum", tuple((float(K), v) for K, v in zip(radii, sums))
             )
@@ -1125,6 +1127,9 @@ def run_experiment(name: str, overrides=None) -> ExperimentReport:
         raise ConfigError(
             f"unknown experiment {name!r}; available: {', '.join(sorted(EXPERIMENTS))}"
         )
+    # (Imported here: hashlib, with OpenSSL, adds ~3 ms to every command's start.)
+    import hashlib
+
     schema, body = EXPERIMENTS[name]
     config, opt = parse_config(schema, overrides)
     series, scalars, verdicts = body(opt)

@@ -23,6 +23,7 @@ from mkdvlab.dynamics import (
     EquationSpec,
     Trajectory,
     _rhs_builder,
+    _j1_sums,
     _solve_each,
     j1_multiplier_sum,
     nonlinearity,
@@ -872,6 +873,32 @@ def test_j1_validation():
         j1_multiplier_sum(0, 0.5, math.nan, 8)
     with pytest.raises(ValueError):
         j1_multiplier_sum(0, 0.5, 2.0, -1)
+    # <k>^-400 underflows, so a(k) = inf: refused, naming the pair and radius
+    with pytest.raises(ValueError, match=r"n = 0, s = -400.0, p = 2.0, radius = 8 "):
+        j1_multiplier_sum(0, -400.0, 2.0, 8)
+
+
+def test_j1_sums_match_single_radius_bitwise(monkeypatch):
+    # each j1_multiplier_sum call builds its own weights at its radius, so
+    # the slices of the weights built once at the largest radius must match
+    grid = (64, 128, 256, 512, 1024, 2048, 4096)
+    cases = [(n, s, p, grid) for s, p in ((0.5, 2.0), (0.75, 8.0))
+             for n in (0, 32, -32, 256, -256)]
+    # (0, 1.05) and (1/4, 1.2) take the direct convolution
+    cases += [(n, s, p, (64, 128, 256)) for s, p in ((0.0, 1.05), (0.25, 1.2))
+              for n in (0, -40)]
+    cases += [(n, 0.5, p, (64, 128, 256)) for p in (1.0, math.inf) for n in (0, 5)]
+    cases += [(3, 0.5, 2.0, (32, 0, 8)), (-3, 0.5, 1.0, (32, 0, 8))]
+    for n, s, p, radii in cases:
+        expected = tuple(j1_multiplier_sum(n, s, p, radius) for radius in radii)
+        assert _j1_sums(n, s, p, radii) == expected, (n, s, p)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("weights built before the radii were checked")
+
+    monkeypatch.setattr(dynamics, "japanese_bracket", refuse)
+    with pytest.raises(ValueError, match="radius"):
+        _j1_sums(0, 0.5, 2.0, (8, 2**17))
 
 
 def test_j1_sum_does_not_depend_on_blas_threads():

@@ -1,5 +1,6 @@
 """Experiment harness: config plumbing, verdicts, determinism, cheap smoke runs."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -80,6 +81,8 @@ SINGLE_KEY_RULES = [
     ("gauge_equivalence", "norm_p", "0.5"),
     ("multiplier_probe", "n_list", ""),
     ("multiplier_probe", "n_list", "0,1048577"),
+    ("multiplier_probe", "n_list", "0,0"),
+    ("multiplier_probe", "n_list", "0,-0"),
     ("multiplier_probe", "radii", "8,16"),
     ("multiplier_probe", "radii", "0,0,0"),
     ("multiplier_probe", "radii", "8,12,24"),
@@ -193,6 +196,11 @@ def test_write_report_layout(tmp_path):
     assert (tmp_path / "series" / "running_second_moment.csv").exists()
     text = (tmp_path / "series" / "running_second_moment.csv").read_text()
     assert text.splitlines()[0] == "samples,mean_P_sq"
+    # a report that cannot be serialized leaves no directory behind
+    out = tmp_path / "unserializable"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_report(dataclasses.replace(report, scalars={"worst": math.nan}), out)
+    assert not out.exists()
 
 
 def test_run_experiment_assembles_the_report():

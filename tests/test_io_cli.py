@@ -34,6 +34,13 @@ from mkdvlab.presets import preset_state
 from mkdvlab.spectral import FourierState
 
 
+def source_env():
+    """The environment with this mkdvlab's source first on PYTHONPATH."""
+    src = str(pathlib.Path(mkdvlab.__file__).parent.parent)
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def run_cli(*args):
     try:
         main(list(args))
@@ -563,6 +570,21 @@ def test_cli_norms_rejects_exponent_below_one(tmp_path, capsys):
     assert "config error: 's' must be finite, got nan" in capsys.readouterr().err
 
 
+def test_cli_refuses_overflowing_multiplier_weights(tmp_path):
+    # in a fresh interpreter, so that numpy's RuntimeWarnings would reach stderr
+    out = tmp_path / "o"
+    done = subprocess.run(
+        [sys.executable, "-m", "mkdvlab.cli", "experiment", "multiplier_probe",
+         "--set", "pairs=-400:2", "--set", "n_list=0", "--set", "radii=8,16,32",
+         "--out", str(out)],
+        env=source_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 1
+    assert "-400" in done.stderr
+    assert "RuntimeWarning" not in done.stderr and "Traceback" not in done.stderr
+    assert not out.exists()
+
+
 def _assert_refused(argv, out, capsys):
     """A second run into ``out`` exits 1 naming it and changes no file."""
     before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
@@ -666,11 +688,9 @@ print(json.dumps(report))
 def fresh_interpreter_steps(steps):
     """[(exit code, scipy modules loaded after it)] for each step, run in order
     in one fresh interpreter."""
-    src = str(pathlib.Path(mkdvlab.__file__).parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     done = subprocess.run([sys.executable, "-c", STARTUP_PROBE, json.dumps(steps)],
-                          env=env, capture_output=True, text=True, timeout=300, check=True)
+                          env=source_env(), capture_output=True, text=True, timeout=300,
+                          check=True)
     return [tuple(step) for step in json.loads(done.stdout.splitlines()[-1])]
 
 

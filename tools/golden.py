@@ -87,6 +87,8 @@ COMMANDS += [
     ("norms_huge_cap", "norms --state huge_cap.json".split()),
     experiment("illposedness", "_near_half", "s=0.4999"),
     experiment("apriori_probe", "_zero", "ic=zero"),
+    experiment("multiplier_probe", "_overflow", "pairs=-400:2", "n_list=0", "radii=8,16,32"),
+    experiment("multiplier_probe", "_repeat_n", "n_list=0,0", "radii=8,16,32"),
 ]
 
 INPUTS = {
