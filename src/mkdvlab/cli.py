@@ -44,10 +44,6 @@ from .norms import NormSpec, fl_norm, mass, momentum
 from .presets import preset_state
 
 
-class _VerdictFailure(Exception):
-    """Internal signal: report written, at least one verdict failed."""
-
-
 def _key_value(item: str, where: str) -> tuple[str, str]:
     """``item`` split at its first '=', both sides stripped; a missing '=' or
     an empty key is refused, naming ``where`` the item came from."""
@@ -202,9 +198,11 @@ def norms_command(config_path, pretty, **flags):
         for s_val in opt.s
         for p_val in opt.p
     ]
+    if pretty or opt.out:
+        totals = {"mass": mass(loaded), "momentum": momentum(loaded)}
     if pretty:
-        click.echo(f"mass     = {mass(loaded):.12g}")
-        click.echo(f"momentum = {momentum(loaded):.12g}")
+        for key, value in totals.items():
+            click.echo(f"{key:<8} = {value:.12g}")
         for s_val, p_val, value in rows:
             click.echo(f"FL^({s_val:g},{p_val:g})  {value:.12g}")
     else:
@@ -212,15 +210,12 @@ def norms_command(config_path, pretty, **flags):
         for s_val, p_val, value in rows:
             click.echo(f"{fmt17(s_val)},{fmt17(p_val)},{fmt17(value)}")
     if opt.out:
-        payload = {
-            "mass": mass(loaded),
-            "momentum": momentum(loaded),
-            "norms": [
-                {"s": _json_number(s_val), "p": _json_number(p_val),
-                 "value": _json_number(value)}
-                for s_val, p_val, value in rows
-            ],
-        }
+        payload = {key: _json_number(value) for key, value in totals.items()}
+        payload["norms"] = [
+            {"s": _json_number(s_val), "p": _json_number(p_val),
+             "value": _json_number(value)}
+            for s_val, p_val, value in rows
+        ]
         pathlib.Path(opt.out).write_text(canonical_json(payload))
 
 
@@ -262,38 +257,37 @@ def experiment_command(name, config_path, assignments, out):
         )
     click.echo(f"report: {out_dir / 'report.json'}")
     if not report.all_passed:
-        raise _VerdictFailure(name)
+        click.echo(f"verdict failure in experiment {name}", err=True)
+        click.get_current_context().exit(3)
+
+
+# (exception, stderr prefix, exit code), first match first: ConfigError is a
+# ValueError.  A failed verdict exits 3 from its command, after its report.
+_EXITS = (
+    (ConfigError, "config error", 1),
+    (FileNotFoundError, "missing path", 1),
+    (NotADirectoryError, "wrong kind of path", 1),
+    (IsADirectoryError, "wrong kind of path", 1),
+    (SolverAbort, "numerical abort", 2),
+    (ValueError, "invalid value", 1),
+    (MemoryError, "out of memory", 1),
+)
 
 
 def main(argv=None) -> None:
     try:
-        cli.main(args=argv, standalone_mode=False)
+        code = cli.main(args=argv, standalone_mode=False)
     except click.ClickException as exc:
         exc.show()
-        sys.exit(1)
+        code = 1
     except click.Abort:
-        sys.exit(1)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(1)
-    except FileNotFoundError as exc:
-        click.echo(f"missing path: {exc}", err=True)
-        sys.exit(1)
-    except (NotADirectoryError, IsADirectoryError) as exc:
-        click.echo(f"wrong kind of path: {exc}", err=True)
-        sys.exit(1)
-    except SolverAbort as exc:
-        click.echo(f"numerical abort: {exc}", err=True)
-        sys.exit(2)
-    except _VerdictFailure as exc:
-        click.echo(f"verdict failure in experiment {exc}", err=True)
-        sys.exit(3)
-    except ValueError as exc:
-        click.echo(f"invalid value: {exc}", err=True)
-        sys.exit(1)
-    except MemoryError as exc:
-        click.echo(f"out of memory: {exc}", err=True)
-        sys.exit(1)
+        code = 1
+    except tuple(kind for kind, _, _ in _EXITS) as exc:
+        prefix, code = next((prefix, code) for kind, prefix, code in _EXITS
+                            if isinstance(exc, kind))
+        click.echo(f"{prefix}: {exc}", err=True)
+    if code:
+        sys.exit(code)
 
 
 if __name__ == "__main__":

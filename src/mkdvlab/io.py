@@ -245,10 +245,11 @@ def series_to_csv_text(xlabel: str, ylabel: str, rows) -> str:
 
 
 def trajectory_to_dir(trajectory: Trajectory, directory, extra_manifest=None) -> None:
-    """Write manifest.json plus states/state_NNNNNN.csv under ``directory``."""
-    directory = pathlib.Path(directory)
-    states_dir = directory / "states"
-    states_dir.mkdir(parents=True, exist_ok=True)
+    """Write states/state_NNNNNN.csv, then manifest.json, under ``directory``.
+
+    The manifest text is built first and written last: an unserializable
+    manifest leaves no directory, and a written one marks a finished run.
+    """
     manifest = {
         "kind": "trajectory",
         "mode_cap": trajectory.mode_cap,
@@ -261,9 +262,13 @@ def trajectory_to_dir(trajectory: Trajectory, directory, extra_manifest=None) ->
         "metadata": trajectory.metadata,
     }
     manifest.update(extra_manifest or {})
-    (directory / "manifest.json").write_text(canonical_json(manifest))
+    manifest_text = canonical_json(manifest)
+    directory = pathlib.Path(directory)
+    states_dir = directory / "states"
+    states_dir.mkdir(parents=True, exist_ok=True)
     for k, state in enumerate(trajectory.states):
         (states_dir / f"state_{k:06d}.csv").write_text(state_to_csv_text(state))
+    (directory / "manifest.json").write_text(manifest_text)
 
 
 def _metadata(value) -> dict:

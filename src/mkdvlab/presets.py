@@ -42,9 +42,21 @@ def _expect_args(name: str, args, low: int, high: int) -> None:
 
 
 def preset_state(mode_cap: int, preset: str) -> FourierState:
-    """Build the initial state described by 'name:args' at the given cap."""
+    """Build the initial state described by 'name:args' at the given cap,
+    refusing one with a coefficient that overflows float64."""
     name, args = parse_preset(preset)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = _build(mode_cap, name, args)
+    except OverflowError:  # a Python float power, where numpy's gives inf
+        state = None
+    if state is None or not np.isfinite(state.coeffs).all():
+        raise ConfigError(f"ic preset {preset!r} overflows float64 "
+                          f"at mode_cap {mode_cap}")
+    return state
 
+
+def _build(mode_cap: int, name: str, args) -> FourierState:
     if name == "zero":
         _expect_args(name, args, 0, 0)
         return zero_state(mode_cap)

@@ -17,7 +17,7 @@ import mkdvlab.io
 from conftest import random_state, state_to_json_text
 from mkdvlab.cli import main
 from mkdvlab.dynamics import EquationSpec, solve
-from mkdvlab.errors import StabilityWarning
+from mkdvlab.errors import ConfigError, SolverAbort, StabilityWarning
 from mkdvlab.norms import NormSpec, fl_norm, mass, momentum
 from mkdvlab.io import (
     canonical_json,
@@ -191,6 +191,27 @@ def test_trajectory_dir_round_trip(tmp_path):
     for orig, restored in zip(traj.states, back.states):
         assert np.array_equal(orig.coeffs, restored.coeffs)
         assert restored.time == pytest.approx(orig.time, abs=1e-15)
+
+
+def test_trajectory_dir_writes_manifest_last(tmp_path, monkeypatch):
+    # a manifest.json marks a finished run, so it is written after every state
+    traj = solve(preset_state(4, "random_smooth:1.5,0"), EquationSpec("mkdv", 1),
+                 1e-3, 0.003)
+    written = []
+    write_text = pathlib.Path.write_text
+
+    def record(path, *args, **kwargs):
+        written.append(path.relative_to(tmp_path).as_posix())
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "write_text", record)
+    trajectory_to_dir(traj, tmp_path / "t")
+    assert written == [f"t/states/state_{k:06d}.csv" for k in range(len(traj))] + [
+        "t/manifest.json"]
+    # a manifest that cannot be serialized is refused before any directory
+    with pytest.raises(ValueError, match="non-finite"):
+        trajectory_to_dir(traj, tmp_path / "u", extra_manifest={"x": float("nan")})
+    assert not (tmp_path / "u").exists()
 
 
 # -------------------------------------------------------------------- cli
@@ -379,6 +400,20 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err == "out of memory: Unable to allocate 149. GiB\n"
     assert "Traceback" not in err
+    # each row of the exit table, raised from inside a command
+    rows = ((ConfigError, "config error", 1), (FileNotFoundError, "missing path", 1),
+            (NotADirectoryError, "wrong kind of path", 1),
+            (IsADirectoryError, "wrong kind of path", 1),
+            (SolverAbort, "numerical abort", 2), (ValueError, "invalid value", 1),
+            (MemoryError, "out of memory", 1))
+    assert [kind for kind, _, _ in mkdvlab.cli._EXITS] == [kind for kind, _, _ in rows]
+    for kind, prefix, code in rows:
+        def fail(*args, kind=kind):
+            raise kind("no state")
+
+        monkeypatch.setattr(mkdvlab.cli, "load_state", fail)
+        assert run_cli("norms", "--state", str(a_file)) == code
+        assert capsys.readouterr().err == f"{prefix}: no state\n"
     monkeypatch.undo()
     assert a_file.read_text() == ""
     # manifests with a gauge record missing its sign or with metadata that is
@@ -524,6 +559,9 @@ REJECTED = [
      "random_smooth seed must be a nonnegative integer"),
     (("solve", "--ic", "gaussian_bump:1,nan", "--out", "{tmp}/o"),
      "config error: non-finite ic preset argument in 'gaussian_bump:1,nan'"),
+    # finite coefficients, but refused for its argument
+    (("solve", "--ic", "gaussian_bump:inf,1", "--out", "{tmp}/o"),
+     "config error: non-finite ic preset argument in 'gaussian_bump:inf,1'"),
     (("gauge", "--traj", "{tmp}/g1", "--invert", "--which", "G2", "--sign", "-1",
       "--out", "{tmp}/o"),
      "config error: 'invert' undoes the recorded gauge; drop 'which' and 'sign'"),
@@ -559,6 +597,59 @@ def test_cli_rejections_exit_one(tmp_path, capsys, argv, message):
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, preset, cap", [
+    (("solve", "--modes", "4", "--ic", "one_sided:-1000", "--T", "0.002",
+      "--dt", "1e-3"), "one_sided:-1000", 4),
+    # these raised OverflowError from a Python float power
+    (("solve", "--ic", "plane_wave:2,1,-2000"), "plane_wave:2,1,-2000", 64),
+    (("solve", "--ic", "random_smooth:-1000,0"), "random_smooth:-1000,0", 64),
+    (("experiment", "conservation", "--set", "ic=one_sided:-1000", "--set", "seeds=",
+      "--set", "modes=4", "--set", "T=0.002", "--set", "dt=1e-3",
+      "--set", "save_every=1"), "one_sided:-1000", 4),
+], ids=["solve", "plane_wave", "random_smooth", "experiment"])
+def test_cli_refuses_an_overflowing_preset(tmp_path, capsys, argv, preset, cap):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(*argv, "--out", str(tmp_path / "o")) == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        f"config error: ic preset {preset!r} overflows float64 at mode_cap {cap}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def _nan_trajectory(tmp_path):
+    """A solve output whose first state holds one NaN, which the reader accepts."""
+    solved = tmp_path / "s"
+    assert run_cli("solve", "--modes", "4", "--ic", "random_smooth:1.5,0",
+                   "--T", "0.0003", "--out", str(solved)) == 0
+    first = solved / "states" / "state_000000.csv"
+    lines = first.read_text().splitlines()
+    mode, _, imag = lines[3].split(",")
+    lines[3] = f"{mode},nan,{imag}"
+    first.write_text("\n".join(lines) + "\n")
+    return solved
+
+
+def test_cli_norms_out_writes_a_nan_mass_as_text(tmp_path):
+    first = _nan_trajectory(tmp_path) / "states" / "state_000000.csv"
+    out = tmp_path / "y.json"
+    assert run_cli("norms", "--state", str(first), "--out", str(out)) == 0
+    payload = json.loads(out.read_text())
+    assert payload["mass"] == payload["momentum"] == "nan"
+    assert [row["value"] for row in payload["norms"]] == ["nan"] * 3
+
+
+def test_cli_gauge_leaves_no_out_when_its_manifest_fails(tmp_path, capsys):
+    # G1 records the NaN momentum, which JSON cannot hold
+    solved = _nan_trajectory(tmp_path)
+    capsys.readouterr()
+    assert run_cli("gauge", "--traj", str(solved), "--which", "G1",
+                   "--out", str(tmp_path / "g")) == 1
+    assert capsys.readouterr().err == (
+        "invalid value: non-finite floats cannot be serialized\n")
+    assert not (tmp_path / "g").exists()
 
 
 def test_cli_norms_rejects_exponent_below_one(tmp_path, capsys):
@@ -648,9 +739,12 @@ def test_cli_experiment_report_and_verdict_exit(tmp_path, capsys):
         "--out", str(out_bad),
     )
     assert code == 3
-    # the report is still written before the failing exit
+    assert capsys.readouterr().err == "verdict failure in experiment random_momentum\n"
+    # the report and the manifest are still written before the failing exit
     report = json.loads((out_bad / "report.json").read_text())
     assert report["all_passed"] is False
+    manifest = json.loads((out_bad / "manifest.json").read_text())
+    assert manifest["all_passed"] is False
 
 
 def test_package_exports_resolve_once():

@@ -9,10 +9,10 @@ OUT/<command>.txt records its exit code, stdout and stderr with SRC replaced
 by ``<src>``; the ``--help`` commands print as the ``mkdvlab`` script
 would, wrapped at 80 columns.  Before they run, OUT receives the INPUTS
 files that some commands read: a JSON state, a state CSV that only the
-line-by-line reader accepts, one naming a single huge mode, a JSON state
-with a huge mode cap, and a solve config file.  Warnings are recorded as
-category and message only, so a moved source line does not show as a
-difference.
+line-by-line reader accepts, one naming a single huge mode, one holding a
+NaN, a JSON state with a huge mode cap, and a solve config file.
+Warnings are recorded as category and message only, so a moved source
+line does not show as a difference.
 Run it on two checkouts and compare the two OUT trees with ``diff -r``.
 """
 
@@ -89,6 +89,11 @@ COMMANDS += [
     experiment("apriori_probe", "_zero", "ic=zero"),
     experiment("multiplier_probe", "_overflow", "pairs=-400:2", "n_list=0", "radii=8,16,32"),
     experiment("multiplier_probe", "_repeat_n", "n_list=0,0", "radii=8,16,32"),
+    # coefficients that overflow float64: refused where the preset is built
+    ("solve_overflow_ic", "solve --modes 4 --ic one_sided:-1000 --T 0.002 "
+                          "--dt 1e-3 --out overflow".split()),
+    # a NaN mass and momentum, written to JSON as text
+    ("norms_nan_out", "norms --state nan_state.csv --out nan_norms.json".split()),
 ]
 
 INPUTS = {
@@ -107,6 +112,8 @@ INPUTS = {
                  "T = 0.01\nic = plane_wave:2,1,0\n",
     # one row naming mode 2^62: refused by its row count, exit 1
     "huge_mode.csv": "n,re,im\n4611686018427387904,0,0\n",
+    # cap 1 with a NaN mode 0, which the reader accepts
+    "nan_state.csv": "n,re,im\n-1,0,0\n0,nan,0\n1,0.5,0\n",
     # mode_cap 2^62, too large to allocate: refused naming the file, exit 1
     "huge_cap.json": '{"coeffs": [], "mode_cap": 4611686018427387904}\n',
 }
