@@ -559,9 +559,6 @@ REJECTED = [
      "random_smooth seed must be a nonnegative integer"),
     (("solve", "--ic", "gaussian_bump:1,nan", "--out", "{tmp}/o"),
      "config error: non-finite ic preset argument in 'gaussian_bump:1,nan'"),
-    # finite coefficients, but refused for its argument
-    (("solve", "--ic", "gaussian_bump:inf,1", "--out", "{tmp}/o"),
-     "config error: non-finite ic preset argument in 'gaussian_bump:inf,1'"),
     (("gauge", "--traj", "{tmp}/g1", "--invert", "--which", "G2", "--sign", "-1",
       "--out", "{tmp}/o"),
      "config error: 'invert' undoes the recorded gauge; drop 'which' and 'sign'"),
@@ -577,6 +574,9 @@ REJECTED = [
     # refused by its parser, before the missing trajectory is read
     (("gauge", "--traj", "{tmp}/missing", "--which", "G3", "--out", "{tmp}/o"),
      "config error: 'which' must be one of G1, G2, got 'G3'"),
+    # finite coefficients, but refused for its argument
+    (("solve", "--ic", "gaussian_bump:inf,1", "--out", "{tmp}/o"),
+     "config error: non-finite ic preset argument in 'gaussian_bump:inf,1'"),
 ]
 
 
