@@ -45,12 +45,9 @@ def preset_state(mode_cap: int, preset: str) -> FourierState:
     """Build the initial state described by 'name:args' at the given cap,
     refusing one with a coefficient that overflows float64."""
     name, args = parse_preset(preset)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            state = _build(mode_cap, name, args)
-    except OverflowError:  # a Python float power, where numpy's gives inf
-        state = None
-    if state is None or not np.isfinite(state.coeffs).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = _build(mode_cap, name, args)
+    if not np.isfinite(state.coeffs).all():
         raise ConfigError(f"ic preset {preset!r} overflows float64 "
                           f"at mode_cap {mode_cap}")
     return state
@@ -71,7 +68,7 @@ def _build(mode_cap: int, name: str, args) -> FourierState:
             raise ConfigError(
                 f"plane_wave mode {wave_mode} exceeds mode_cap {mode_cap}"
             )
-        amplitude = args[1] * float(wave_mode) ** (-args[2])
+        amplitude = args[1] * np.float64(wave_mode) ** (-args[2])
         return state_from_modes(mode_cap, {wave_mode: amplitude})
 
     if name == "gaussian_bump":
@@ -96,9 +93,7 @@ def _build(mode_cap: int, name: str, args) -> FourierState:
         amplitudes: dict[int, complex] = {}
         for n in range(1, min(RANDOM_SMOOTH_BAND, mode_cap) + 1):
             for mode in (n, -n):
-                radius = 0.3 * rng.uniform(0.5, 1.0) * float(japanese_bracket(n)) ** (
-                    -decay
-                )
+                radius = 0.3 * rng.uniform(0.5, 1.0) * japanese_bracket(n) ** (-decay)
                 phase = rng.uniform(0.0, 2.0 * np.pi)
                 amplitudes[mode] = radius * np.exp(1j * phase)
         return state_from_modes(mode_cap, amplitudes)
