@@ -161,7 +161,12 @@ def gauge_command(config_path, **flags):
         raise ConfigError("'invert' undoes the recorded gauge; drop 'which' and 'sign'")
     _fresh_out(opt.out)
     trajectory = trajectory_from_dir(opt.traj)
-    apply = apply_gauge1 if opt.which == "G1" else apply_gauge2
+    apply, scalar = (apply_gauge1, mass) if opt.which == "G1" else (apply_gauge2, momentum)
+    if not opt.invert:
+        value = scalar(trajectory.initial)
+        if not math.isfinite(value):
+            raise ValueError(f"{opt.which} needs a finite {scalar.__name__}; the initial "
+                             f"state of {str(opt.traj)!r} has {fmt17(value)}")
     result = invert_gauge(trajectory) if opt.invert else apply(trajectory, opt.sign)
     trajectory_to_dir(
         result, opt.out, extra_manifest={"command": "gauge", "config": config}

@@ -354,20 +354,31 @@ def _stable_schedule(state, horizon: float, save_points: int, dt_cap: float):
 def _cutoff_ladder(arms, sign: int, horizon: float, save_points: int, dt_cap: float):
     """mkdv2 solves from P_{<=N} u0 for each arm ``(u0, cutoffs)`` and cutoff N.
 
+    With M the cap of u0 and P_{<=N} u0 taken at cap M:
+    - rung N steps at cap min(2N, M), from P_{<=N} u0 recapped there;
+    - its dt and save stride are ``_stable_schedule`` of P_{<=N} u0 at cap
+      M.  The rung's own cap would give a step up to M / 2N times coarser,
+      which moves the Cauchy gaps by far more than the cap does;
+    - P_N is the momentum of P_{<=N} u0, and u_N = e^{+i sign P_N t} v_N
+      undoes the G2 gauge.
+
     Every job of every arm, in arm order, goes through one ``_solve_each``
     call.  Returns, per arm, one ``(v_N trajectory, u_N states, P_N)`` per
-    cutoff, where P_N is the truncation's momentum and u_N = e^{+i sign P_N t}
-    v_N undoes the G2 gauge.
+    cutoff.  The states of both are at cap M, exactly 0 above the rung's
+    cap; the trajectory keeps the rung's solver metadata.
     """
     equation = EquationSpec("mkdv2", sign)
-    truncations = [project_low(u0, N) for u0, cutoffs in arms for N in cutoffs]
+    rungs = [(project_low(u0, N), min(2 * N, u0.mode_cap))
+             for u0, cutoffs in arms for N in cutoffs]
     jobs = []
-    for state in truncations:
-        dt, save_every = _stable_schedule(state, horizon, save_points, dt_cap)
-        jobs.append((state, equation, dt, horizon, save_every))
+    for truncation, cap in rungs:
+        dt, save_every = _stable_schedule(truncation, horizon, save_points, dt_cap)
+        jobs.append((project_low(truncation, cap, cap), equation, dt, horizon, save_every))
     runs = []
-    for state, trajectory in zip(truncations, _solve_each(jobs)):
-        rate = momentum(state)
+    for (truncation, cap), solved in zip(rungs, _solve_each(jobs)):
+        states = [project_low(st, cap, truncation.mode_cap) for st in solved.states]
+        trajectory = dataclasses.replace(solved, states=states)
+        rate = momentum(truncation)
         u_states = invert_gauge(trajectory, GaugeSpec("G2", sign, rate)).states
         runs.append((trajectory, u_states, rate))
     runs = iter(runs)

@@ -118,12 +118,21 @@ def synthesis(coeffs: np.ndarray, mode_cap: int, num_points: int) -> np.ndarray:
     return pypocketfft.c2c(spread, (-1,), False, 2, spread, 1) * num_points
 
 
-def project_low(state: FourierState, cutoff: int) -> FourierState:
-    """Keep modes |n| <= cutoff, zero the rest."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
-    mask = np.abs(state.modes) <= cutoff
-    return state.with_(coeffs=np.where(mask, state.coeffs, 0.0))
+def project_low(state: FourierState, cutoff: int, cap: int | None = None) -> FourierState:
+    """Keep modes |n| <= cutoff, zero the rest, at mode cap ``cap``.
+
+    ``cap`` defaults to the state's own.  A smaller cap drops the modes
+    above it; a larger one adds modes that read exactly 0.
+    """
+    cap = state.mode_cap if cap is None else cap
+    if cutoff < 0 or cap < 0:
+        raise ValueError("cutoff and cap must be >= 0")
+    keep = min(cutoff, cap, state.mode_cap)
+    coeffs = np.zeros(2 * cap + 1, dtype=np.complex128)
+    coeffs[cap - keep : cap + keep + 1] = state.coeffs[
+        state.mode_cap - keep : state.mode_cap + keep + 1
+    ]
+    return FourierState(coeffs, cap, state.time)
 
 
 def project_high(state: FourierState, cutoff: int) -> FourierState:

@@ -41,7 +41,7 @@ from mkdvlab.gauges import GaugeSpec, invert_gauge
 from mkdvlab.io import canonical_json, fmt17
 from mkdvlab.norms import fl_norm, mass, momentum
 from mkdvlab.presets import preset_state
-from mkdvlab.spectral import project_low
+from mkdvlab.spectral import FourierState, padded_grid_size, project_low
 
 
 # ------------------------------------------------------------------ config
@@ -138,29 +138,58 @@ def test_stable_schedule_takes_the_smaller_step():
 
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_cutoff_ladder_is_solve_then_inverse_gauge(monkeypatch, cpus):
-    # one _solve_each call for both arms: serial on one CPU, forked on three
+    # one _solve_each call for both arms: serial on one CPU, forked on three.
+    # Rung N steps at cap min(2N, M): 2N for N = 4 at M = 16 and for N = 2 at
+    # M = 8, the clamp M for N = 16 and for N = 8 at M = 8, and cap 0 for N = 0
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     calls = []
     monkeypatch.setattr(experiments, "_solve_each",
                         lambda jobs: calls.append(jobs) or _solve_each(jobs))
     arms = [(preset_state(16, "one_sided:0.9"), (4, 16)),
-            (preset_state(8, "random_smooth:1.5,2"), (2, 8))]
+            (preset_state(8, "random_smooth:1.5,2"), (0, 2, 8))]
     runs = _cutoff_ladder(arms, -1, 0.02, 4, math.inf)
-    assert [len(jobs) for jobs in calls] == [4]
-    assert [len(arm_runs) for arm_runs in runs] == [2, 2]
+    assert [len(jobs) for jobs in calls] == [5]
+    assert [job[0].mode_cap for job in calls[0]] == [8, 16, 0, 4, 8]
+    assert [len(arm_runs) for arm_runs in runs] == [2, 3]
     for (u0, cutoffs), arm_runs in zip(arms, runs):
+        full = u0.mode_cap
         for N, (trajectory, u_states, rate) in zip(cutoffs, arm_runs, strict=True):
-            state = project_low(u0, N)
-            dt, save_every = _stable_schedule(state, 0.02, 4, math.inf)
-            expected = solve(state, EquationSpec("mkdv2", -1), dt, 0.02, save_every)
-            undone = invert_gauge(expected, GaugeSpec("G2", -1, momentum(state))).states
-            assert rate == momentum(state)
-            assert trajectory.metadata == expected.metadata and len(trajectory) == 5
+            truncation, cap = project_low(u0, N), min(2 * N, full)
+            start = FourierState(truncation.coeffs[full - cap : full + cap + 1], cap)
+            dt, save_every = _stable_schedule(truncation, 0.02, 4, math.inf)
+            solved = solve(start, EquationSpec("mkdv2", -1), dt, 0.02, save_every)
+            # each saved state back at cap M, exactly 0 above the rung's cap
+            embedded = []
+            for st in solved.states:
+                coeffs = np.zeros(2 * full + 1, dtype=np.complex128)
+                coeffs[full - cap : full + cap + 1] = st.coeffs
+                embedded.append(FourierState(coeffs, full, st.time))
+            expected = dataclasses.replace(solved, states=embedded)
+            undone = invert_gauge(expected, GaugeSpec("G2", -1, momentum(truncation))).states
+            assert rate == momentum(truncation)
+            assert trajectory.metadata == solved.metadata and len(trajectory) == 5
+            assert trajectory.metadata["padded_grid"] == padded_grid_size(cap)
             for got, want in zip(trajectory.states + u_states,
                                  expected.states + undone, strict=True):
-                assert got.time == want.time
+                assert got.time == want.time and got.mode_cap == full
                 assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def test_cutoff_ladder_takes_dt_from_the_full_cap(monkeypatch):
+    # The stable step is ~1/cap, so a rung's own cap would step up to M/2N
+    # times coarser; at the default config that moved v_cauchy_shrinks from
+    # 4.54 to 3.10, below its floor of 4.
+    calls = []
+    monkeypatch.setattr(experiments, "_solve_each",
+                        lambda jobs: calls.append(jobs) or _solve_each(jobs))
+    u0, cutoffs = preset_state(64, "one_sided:0.9"), (0, 4, 8, 32, 64)
+    _cutoff_ladder([(u0, cutoffs)], 1, 0.01, 2, math.inf)
+    for N, (state, _, dt, horizon, save_every) in zip(cutoffs, calls[0], strict=True):
+        assert state.mode_cap == min(2 * N, 64) and horizon == 0.01
+        assert (dt, save_every) == _stable_schedule(project_low(u0, N), 0.01, 2, math.inf)
+        if N in (4, 8):
+            assert dt < _stable_schedule(state, 0.01, 2, math.inf)[0]
 
 
 # ----------------------------------------------------------------- reports

@@ -636,15 +636,17 @@ def test_cli_norms_out_writes_a_nan_mass_as_text(tmp_path):
     assert [row["value"] for row in payload["norms"]] == ["nan"] * 3
 
 
-def test_cli_gauge_leaves_no_out_when_its_manifest_fails(tmp_path, capsys):
-    # G1 records the NaN momentum, which JSON cannot hold
+def test_cli_gauge_refuses_a_non_finite_initial_state(tmp_path, capsys):
+    # G1 would record the NaN mass and G2 the NaN momentum as its scalar
     solved = _nan_trajectory(tmp_path)
-    capsys.readouterr()
-    assert run_cli("gauge", "--traj", str(solved), "--which", "G1",
-                   "--out", str(tmp_path / "g")) == 1
-    assert capsys.readouterr().err == (
-        "invalid value: non-finite floats cannot be serialized\n")
-    assert not (tmp_path / "g").exists()
+    for which, scalar in (("G1", "mass"), ("G2", "momentum")):
+        capsys.readouterr()
+        assert run_cli("gauge", "--traj", str(solved), "--which", which,
+                       "--out", str(tmp_path / "g")) == 1
+        assert capsys.readouterr().err == (
+            f"invalid value: {which} needs a finite {scalar}; the initial state "
+            f"of {str(solved)!r} has nan\n")
+        assert not (tmp_path / "g").exists()
 
 
 def test_cli_norms_rejects_exponent_below_one(tmp_path, capsys):
@@ -669,6 +671,22 @@ def test_cli_refuses_overflowing_multiplier_weights(tmp_path):
     assert "-400" in done.stderr
     assert "RuntimeWarning" not in done.stderr and "Traceback" not in done.stderr
     assert not out.exists()
+
+
+# finite coefficients whose step overflows (-150), or already their mass (-300)
+@pytest.mark.parametrize("ic", ["one_sided:-150", "one_sided:-300"])
+def test_cli_solve_abort_prints_no_numpy_warnings(tmp_path, ic):
+    # in a fresh interpreter, so that numpy's RuntimeWarnings would reach stderr
+    out = tmp_path / "o"
+    done = subprocess.run(
+        [sys.executable, "-m", "mkdvlab.cli", "solve", "--modes", "4", "--ic", ic,
+         "--T", "0.002", "--dt", "1e-3", "--out", str(out)],
+        env=source_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 2
+    assert "StabilityWarning: dt = 0.001 exceeds the stability heuristic" in done.stderr
+    assert done.stderr.endswith("numerical abort: non-finite state at t = 0.001 (step 1)\n")
+    assert "RuntimeWarning" not in done.stderr and "Traceback" not in done.stderr
 
 
 def _assert_refused(argv, out, capsys):

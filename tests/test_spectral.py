@@ -100,10 +100,23 @@ def test_projections_partition_modes():
     assert np.all(high.coeffs[np.abs(state.modes) <= 4] == 0)
 
 
+def test_project_low_recaps_with_exact_zeros():
+    state = random_state(10, seed=5)
+    low = project_low(state, 4)
+    down = project_low(state, 4, 6)
+    assert down.mode_cap == 6 and down.time == state.time
+    assert down.coeffs.tobytes() == low.coeffs[4:17].tobytes()
+    # back up to cap 10: the modes above 6 read exactly 0
+    assert project_low(down, 6, 10).coeffs.tobytes() == low.coeffs.tobytes()
+    assert project_low(state, 10, 0).coeffs.tolist() == [state.coeff(0)]
+
+
 def test_projection_validation():
     state = random_state(4, seed=1)
     with pytest.raises(ValueError):
         project_low(state, -1)
+    with pytest.raises(ValueError):
+        project_low(state, 2, -1)
     with pytest.raises(ValueError):
         project_high(state, -1)
 

@@ -94,6 +94,8 @@ COMMANDS += [
                           "--dt 1e-3 --out overflow".split()),
     # a NaN mass and momentum, written to JSON as text
     ("norms_nan_out", "norms --state nan_state.csv --out nan_norms.json".split()),
+    # cutoff 0: a rung at mode cap 0
+    experiment("nonexistence", "_zero_cutoff", *REDUCED, "schedule=0,8,16"),
 ]
 
 INPUTS = {
