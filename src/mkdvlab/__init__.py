@@ -35,7 +35,7 @@ from .experiments import (
     run_experiment,
     write_report,
 )
-from .gauges import GaugeSpec, apply_gauge1, apply_gauge2, invert_gauge, last_gauge
+from .gauges import GAUGES, GaugeSpec, apply_gauge, invert_gauge, last_gauge
 from .norms import (
     NormSpec,
     fl_norm,
@@ -80,9 +80,9 @@ __all__ = [
     "VerdictRecord",
     "run_experiment",
     "write_report",
+    "GAUGES",
     "GaugeSpec",
-    "apply_gauge1",
-    "apply_gauge2",
+    "apply_gauge",
     "invert_gauge",
     "last_gauge",
     "NormSpec",

@@ -17,6 +17,7 @@ import pathlib
 import sys
 
 import click
+import numpy as np
 
 from . import dynamics
 from .dynamics import EquationSpec
@@ -26,6 +27,7 @@ from .experiments import (
     choice,
     flag,
     integer,
+    mode_cap,
     number,
     optional,
     parse_config,
@@ -38,7 +40,7 @@ from .experiments import (
     variant,
     write_report,
 )
-from .gauges import apply_gauge1, apply_gauge2, invert_gauge
+from .gauges import GAUGES, apply_gauge, invert_gauge
 from .io import canonical_json, fmt17, load_state, trajectory_from_dir, trajectory_to_dir
 from .norms import NormSpec, fl_norm, mass, momentum
 from .presets import preset_state
@@ -93,7 +95,7 @@ def cli() -> None:
 SOLVE_SCHEMA = {
     "eq": ("mkdv", variant),
     "sign": ("+1", sign),
-    "modes": ("64", positive(integer)),
+    "modes": ("64", mode_cap),
     "dt": ("1e-4", positive(number)),
     "T": ("0.5", positive(number)),
     "ic": ("", required),
@@ -161,13 +163,14 @@ def gauge_command(config_path, **flags):
         raise ConfigError("'invert' undoes the recorded gauge; drop 'which' and 'sign'")
     _fresh_out(opt.out)
     trajectory = trajectory_from_dir(opt.traj)
-    apply, scalar = (apply_gauge1, mass) if opt.which == "G1" else (apply_gauge2, momentum)
     if not opt.invert:
-        value = scalar(trajectory.initial)
+        invariant = GAUGES[opt.which][2]
+        value = invariant(trajectory.initial)
         if not math.isfinite(value):
-            raise ValueError(f"{opt.which} needs a finite {scalar.__name__}; the initial "
+            raise ValueError(f"{opt.which} needs a finite {invariant.__name__}; the initial "
                              f"state of {str(opt.traj)!r} has {fmt17(value)}")
-    result = invert_gauge(trajectory) if opt.invert else apply(trajectory, opt.sign)
+    result = (invert_gauge(trajectory) if opt.invert
+              else apply_gauge(trajectory, opt.which, opt.sign))
     trajectory_to_dir(
         result, opt.out, extra_manifest={"command": "gauge", "config": config}
     )
@@ -198,13 +201,15 @@ def norms_command(config_path, pretty, **flags):
     """Print an FL-norm table (CSV on stdout) for a stored state."""
     _, opt = parse_config(NORMS_SCHEMA, _overrides(config_path, flags))
     loaded = load_state(opt.state)
-    rows = [
-        (s_val, p_val, fl_norm(loaded, NormSpec(s_val, p_val)))
-        for s_val in opt.s
-        for p_val in opt.p
-    ]
-    if pretty or opt.out:
-        totals = {"mass": mass(loaded), "momentum": momentum(loaded)}
+    # a huge or infinite coefficient gives inf or nan, printed as it is
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = [
+            (s_val, p_val, fl_norm(loaded, NormSpec(s_val, p_val)))
+            for s_val in opt.s
+            for p_val in opt.p
+        ]
+        if pretty or opt.out:
+            totals = {"mass": mass(loaded), "momentum": momentum(loaded)}
     if pretty:
         for key, value in totals.items():
             click.echo(f"{key:<8} = {value:.12g}")

@@ -136,11 +136,6 @@ def phi_resonance(n1: int, n2: int, n3: int) -> int:
     return 3 * (n1 + n2) * (n1 + n3) * (n2 + n3)
 
 
-#: Whether each variant subtracts the mean transport mu (in) u_hat and the
-#: momentum phase i P(u) u_hat from the full cubic term.
-_SUBTRACTS = {"mkdv": (False, False), "mkdv1": (True, False), "mkdv2": (True, True)}
-
-
 def _rhs_builder(cap: int, equations: Sequence[EquationSpec]):
     """Signed right-hand side on a (B, 2M+1) stack, row b under equations[b].
 
@@ -150,9 +145,10 @@ def _rhs_builder(cap: int, equations: Sequence[EquationSpec]):
     ``coeffs`` is that buffer: a caller that builds its input there saves
     the copy.  Every other buffer is allocated here, once.
 
-    The equations must be grouped by variant, in the order of VARIANTS, so
-    that the rows subtracting the mean transport, and those subtracting
-    the momentum phase, are each a tail of the stack.  Rows never mix:
+    The equations must be grouped by variant, in the order of VARIANTS, the
+    ladder of ``gauges.GAUGES``: rows of rank 1 or more subtract the mean
+    transport and rows of rank 2 also the momentum phase, so each set is a
+    tail of the stack.  Rows never mix:
     every FFT, product and reduction works row by row, so a row's value
     does not depend on the other rows or on B.  Each per-mode factor is a
     full (B, 2M+1) array, so that numpy combines it with the stack in its
@@ -180,10 +176,7 @@ def _rhs_builder(cap: int, equations: Sequence[EquationSpec]):
                          + ", ".join(VARIANTS))
     # the first row that subtracts the mean transport, and the first that
     # subtracts the momentum phase
-    mean_start, momentum_start = (
-        sum(not subtracts for subtracts in column)
-        for column in zip(*(_SUBTRACTS[eq.variant] for eq in equations))
-    )
+    mean_start, momentum_start = (sum(rank < step for rank in ranks) for step in (1, 2))
     rows, width, num_points = len(equations), 2 * cap + 1, padded_grid_size(cap)
     mean_rows, momentum_rows = rows - mean_start, rows - momentum_start
     nvec = np.arange(-cap, cap + 1).astype(np.float64)

@@ -37,7 +37,7 @@ from .dynamics import (
     stability_dt_limit,
 )
 from .errors import ConfigError, SolverAbort
-from .gauges import GaugeSpec, apply_gauge1, apply_gauge2, invert_gauge
+from .gauges import GAUGES, GaugeSpec, apply_gauge, invert_gauge
 from .io import canonical_json, fmt17, series_to_csv_text
 from .norms import (
     NormSpec,
@@ -288,6 +288,10 @@ def some_of(item):
 
 
 int_list = list_of(integer)
+# a state's M, at most the bound of exact resonance arithmetic, so that no
+# command allocates a stack it cannot hold
+mode_cap = _checked(positive(integer), lambda cap: cap <= RESONANCE_DOMAIN,
+                    f"at most {RESONANCE_DOMAIN}")
 cutoff_list = increasing(list_of(nonnegative(integer)))
 ladder = increasing(at_least(1, list_of(positive(integer))))
 
@@ -351,11 +355,17 @@ def _stable_schedule(state, horizon: float, save_points: int, dt_cap: float):
     return phase_schedule(horizon, min(stability_dt_limit(state), dt_cap), save_points)
 
 
+def _rung_cap(N: int, cap: int) -> int:
+    """The mode cap at which the ladder solves cutoff N of data at ``cap``."""
+    return min(2 * N, cap)
+
+
 def _cutoff_ladder(arms, sign: int, horizon: float, save_points: int, dt_cap: float):
     """mkdv2 solves from P_{<=N} u0 for each arm ``(u0, cutoffs)`` and cutoff N.
 
-    With M the cap of u0 and P_{<=N} u0 taken at cap M:
-    - rung N steps at cap min(2N, M), from P_{<=N} u0 recapped there;
+    The variant and the rate P_N are those of ``GAUGES["G2"]``.  With M the
+    cap of u0 and P_{<=N} u0 taken at cap M:
+    - rung N steps at cap ``_rung_cap(N, M)``, from P_{<=N} u0 recapped there;
     - its dt and save stride are ``_stable_schedule`` of P_{<=N} u0 at cap
       M.  The rung's own cap would give a step up to M / 2N times coarser,
       which moves the Cauchy gaps by far more than the cap does;
@@ -367,8 +377,9 @@ def _cutoff_ladder(arms, sign: int, horizon: float, save_points: int, dt_cap: fl
     cutoff.  The states of both are at cap M, exactly 0 above the rung's
     cap; the trajectory keeps the rung's solver metadata.
     """
-    equation = EquationSpec("mkdv2", sign)
-    rungs = [(project_low(u0, N), min(2 * N, u0.mode_cap))
+    _, variant, rate_of = GAUGES["G2"]
+    equation = EquationSpec(variant, sign)
+    rungs = [(project_low(u0, N), _rung_cap(N, u0.mode_cap))
              for u0, cutoffs in arms for N in cutoffs]
     jobs = []
     for truncation, cap in rungs:
@@ -378,7 +389,7 @@ def _cutoff_ladder(arms, sign: int, horizon: float, save_points: int, dt_cap: fl
     for (truncation, cap), solved in zip(rungs, _solve_each(jobs)):
         states = [project_low(st, cap, truncation.mode_cap) for st in solved.states]
         trajectory = dataclasses.replace(solved, states=states)
-        rate = momentum(truncation)
+        rate = rate_of(truncation)
         u_states = invert_gauge(trajectory, GaugeSpec("G2", sign, rate)).states
         runs.append((trajectory, u_states, rate))
     runs = iter(runs)
@@ -392,7 +403,7 @@ def _cutoff_ladder(arms, sign: int, horizon: float, save_points: int, dt_cap: fl
 CONSERVATION_SCHEMA = {
     "variants": ("mkdv,mkdv1,mkdv2", distinct(some_of(variant))),
     "sign": ("+1", sign),
-    "modes": ("32", positive(integer)),
+    "modes": ("32", mode_cap),
     "ic": ("random_smooth:1.5,0", text),
     "seeds": ("0,1,2", int_list),
     "dt": ("5e-4", positive(number)),
@@ -453,7 +464,7 @@ def exp_conservation(opt) -> Findings:
 GAUGE_EQUIVALENCE_SCHEMA = {
     "ic": ("random_smooth:1.5,0", text),
     "sign": ("+1", sign),
-    "modes": ("32", positive(integer)),
+    "modes": ("32", mode_cap),
     "dt": ("2.5e-4", positive(number)),
     "T": ("0.5", positive(number)),
     "save_every": ("10", positive(integer)),
@@ -479,9 +490,9 @@ def exp_gauge_equivalence(opt) -> Findings:
         [EquationSpec(variant, opt.sign) for variant in VARIANTS],
         opt.dt, opt.T, opt.save_every,
     ))
-    gauged_once = apply_gauge1(traj_plain)
-    gauged_twice = apply_gauge2(gauged_once)
-    gauged_second = apply_gauge2(traj_first)
+    gauged_once = apply_gauge(traj_plain, "G1")
+    gauged_twice = apply_gauge(gauged_once, "G2")
+    gauged_second = apply_gauge(traj_first, "G2")
 
     times = traj_plain.times
     gaps = {
@@ -510,7 +521,7 @@ NONEXISTENCE_SCHEMA = {
     "p": ("3", exponent),
     "alpha": ("0.9", positive(number)),
     "sign": ("+1", sign),
-    "modes": ("512", positive(integer)),
+    "modes": ("512", mode_cap),
     "schedule": ("32,64,128,256", at_least(3, cutoff_list)),
     "T": ("0.8", positive(number)),
     "save_points": ("160", positive(integer)),
@@ -523,7 +534,7 @@ NONEXISTENCE_SCHEMA = {
     "mom_schedule": ("32,64,128,256,512,1024,2048,4096", at_least(4, cutoff_list)),
     "mom_tol": ("1e-6", positive(number)),
     "dt_cap": ("0", nonnegative(number)),
-    "control_modes": ("128", positive(integer)),
+    "control_modes": ("128", mode_cap),
     "control_schedule": ("32,128", at_least(2, cutoff_list)),
     "control_scale": ("0.5", positive(number)),
     "control_tol": ("1e-12", positive(number)),
@@ -561,11 +572,14 @@ def exp_nonexistence(opt) -> Findings:
             f"control schedule entry {control_schedule[-1]} exceeds "
             f"control_modes {opt.control_modes}"
         )
-    # past a cap the coefficient is 0, so the pairing would carry no signal
-    if abs(opt.pairing_mode) > min(opt.modes, opt.control_modes):
+    # past the cap of the smallest rung the coefficient is 0, so the pairing
+    # would carry no signal
+    smallest_cap = min(_rung_cap(schedule[0], opt.modes),
+                       _rung_cap(control_schedule[0], opt.control_modes))
+    if abs(opt.pairing_mode) > smallest_cap:
         raise ConfigError(
-            f"'pairing_mode' {opt.pairing_mode} lies beyond the mode caps "
-            f"(modes {opt.modes}, control_modes {opt.control_modes})"
+            f"'pairing_mode' {opt.pairing_mode} lies beyond {smallest_cap}, "
+            "the mode cap of the smallest rung"
         )
 
     # Both data-class conditions are p-series facts, sum n^-e converging iff
@@ -916,7 +930,7 @@ def exp_random_momentum(opt) -> Findings:
 ENERGY_DRIFT_SCHEMA = {
     "variant": ("mkdv2", variant),
     "sign": ("+1", sign),
-    "modes": ("128", positive(integer)),
+    "modes": ("128", mode_cap),
     "ic": ("gaussian_bump:6,0.35,4", text),
     "cutoffs": ("8,16,32,64", ladder),
     "dt": ("2e-4", positive(number)),
@@ -994,7 +1008,7 @@ APRIORI_SCHEMA = {
     "s": ("0.6", positive(number)),
     "p": ("3", _checked(number, lambda p: p >= 2.0, "at least 2")),
     "sign": ("+1", sign),
-    "modes": ("48", positive(integer)),
+    "modes": ("48", mode_cap),
     "ic": ("random_smooth:1.2,7", text),
     "amplitudes": (
         "0.25,0.5,1.0,2.0,4.0", increasing(at_least(2, list_of(positive(number))))

@@ -4,7 +4,7 @@ G1 shifts out the mean transport: G1(u)(t, x) = u(t, x - sign * mu * t)
 with mu the (conserved) mass, turning mkdv solutions into mkdv1
 solutions.  G2 removes the momentum phase: G2(v)(t) = e^{-i sign P t} v(t)
 with P the momentum, turning mkdv1 solutions into mkdv2 solutions.  Both
-scalars are frozen from the initial slice.
+scalars are frozen from the initial slice.  GAUGES states this ladder once.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ from .dynamics import EquationSpec, Trajectory
 from .errors import GaugeMismatchError
 from .norms import mass, momentum
 
-_FORWARD = {"G1": ("mkdv", "mkdv1"), "G2": ("mkdv1", "mkdv2")}
+#: Per gauge: the member it maps from, the member it maps onto, and the
+#: invariant it freezes at t = 0.
+GAUGES = {"G1": ("mkdv", "mkdv1", mass), "G2": ("mkdv1", "mkdv2", momentum)}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -29,14 +31,11 @@ class GaugeSpec:
     scalar: float
 
     def __post_init__(self):
-        if self.which not in _FORWARD:
+        if self.which not in GAUGES:
             raise ValueError(f"gauge must be G1 or G2, got {self.which!r}")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         object.__setattr__(self, "scalar", float(self.scalar))
-
-    def to_record(self) -> dict:
-        return dataclasses.asdict(self)
 
     @classmethod
     def from_record(cls, record: dict) -> "GaugeSpec":
@@ -72,12 +71,12 @@ def _apply(trajectory: Trajectory, spec: GaugeSpec, inverse: bool) -> Trajectory
               for st, row in zip(trajectory.states, phases, strict=True)]
 
     records = list(trajectory.metadata.get("gauges", ()))
-    domain, codomain = _FORWARD[spec.which]
+    domain, codomain, _ = GAUGES[spec.which]
     if inverse:
         del records[-1:]
         domain, codomain = codomain, domain
     else:
-        records.append(spec.to_record())
+        records.append(dataclasses.asdict(spec))
     equation = trajectory.equation
     if equation is not None and equation.variant == domain:
         equation = EquationSpec(codomain, equation.sign)
@@ -85,17 +84,10 @@ def _apply(trajectory: Trajectory, spec: GaugeSpec, inverse: bool) -> Trajectory
     return Trajectory(slices, trajectory.dt, equation, metadata)
 
 
-def apply_gauge1(trajectory: Trajectory, sign: int | None = None) -> Trajectory:
-    """Translate by the conserved mass; maps mkdv runs onto mkdv1 runs."""
-    resolved = _resolve_sign(trajectory, sign)
-    spec = GaugeSpec("G1", resolved, mass(trajectory.initial))
-    return _apply(trajectory, spec, inverse=False)
-
-
-def apply_gauge2(trajectory: Trajectory, sign: int | None = None) -> Trajectory:
-    """Remove the momentum phase; maps mkdv1 runs onto mkdv2 runs."""
-    resolved = _resolve_sign(trajectory, sign)
-    spec = GaugeSpec("G2", resolved, momentum(trajectory.initial))
+def apply_gauge(trajectory: Trajectory, which: str, sign: int | None = None) -> Trajectory:
+    """Apply gauge ``which`` of GAUGES, at its invariant of the initial slice."""
+    spec = GaugeSpec(which, _resolve_sign(trajectory, sign), 0.0)  # refuses unknown gauges
+    spec = dataclasses.replace(spec, scalar=GAUGES[which][2](trajectory.initial))
     return _apply(trajectory, spec, inverse=False)
 
 

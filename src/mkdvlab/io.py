@@ -15,7 +15,7 @@ import pathlib
 
 import numpy as np
 
-from .dynamics import EquationSpec, Trajectory
+from .dynamics import RESONANCE_DOMAIN, EquationSpec, Trajectory
 from .gauges import GaugeSpec
 from .spectral import FourierState
 
@@ -197,10 +197,10 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _count(value) -> int:
+def _count(value, most=math.inf) -> int:
     count = _integer(value)
-    if count < 0:
-        raise ValueError(f"negative count {value!r}")
+    if not 0 <= count <= most:
+        raise ValueError(f"count {value!r} outside [0, {most}]")
     return count
 
 
@@ -212,8 +212,10 @@ def _finite(value, low=-math.inf) -> float:
 
 def state_from_json_text(text: str, source="JSON state") -> FourierState:
     payload = {"time": 0.0, **_json_object(text, source)}
+    # rows are sparse, so the listed modes cannot bound the cap: it is held to
+    # RESONANCE_DOMAIN before anything is allocated
     coeffs = _field(payload, "mode_cap", lambda cap: np.zeros(
-        2 * _count(cap) + 1, dtype=np.complex128), source)
+        2 * _count(cap, RESONANCE_DOMAIN) + 1, dtype=np.complex128), source)
     cap = coeffs.size // 2
     rows = _field(payload, "coeffs", lambda rows: [
         (_integer(n), complex(float(re), float(im))) for n, re, im in rows

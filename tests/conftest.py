@@ -22,7 +22,7 @@ import numpy as np
 import scipy.fft  # noqa: F401
 
 import mkdvlab
-from mkdvlab.dynamics import _SUBTRACTS
+from mkdvlab.dynamics import VARIANTS
 from mkdvlab.io import canonical_json
 from mkdvlab.spectral import FourierState, _spread_modes, padded_grid_size
 
@@ -206,9 +206,11 @@ def reference_rhs_builder(cap, equations):
     padded_deriv = _spread_modes(deriv, cap, np.zeros((1, num_points), dtype=np.complex128))
     sign = np.array([[complex(eq.sign)] for eq in equations])
     signed_scale = sign * (float(num_points) * float(num_points))
+    # rows of rank 1 or more in VARIANTS subtract the mean transport, and
+    # rows of rank 2 the momentum phase too
+    ranks = np.array([[VARIANTS.index(eq.variant)] for eq in equations])
     mean_rows, momentum_rows = (
-        True if rows.all() else rows
-        for rows in np.array([_SUBTRACTS[eq.variant] for eq in equations]).T[:, :, None]
+        True if rows.all() else rows for rows in (ranks >= 1, ranks >= 2)
     )
     subtract_mean = bool(np.any(mean_rows))
     subtract_momentum = bool(np.any(momentum_rows))

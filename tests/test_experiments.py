@@ -89,6 +89,8 @@ SINGLE_KEY_RULES = [
     ("multiplier_probe", "radii", "32768,65536,131072"),
     ("multiplier_probe", "pairs", "0.5:2,0.5:2"),
     ("conservation", "variants", "mkdv,mkdv"),
+    # one past the mode-cap ceiling 2^20, refused before anything is allocated
+    ("nonexistence", "control_modes", "1048577"),
 ]
 
 
@@ -546,10 +548,13 @@ def test_nonexistence_schedule_validation():
         run_experiment("nonexistence", {"alpha": "2.0"})  # momentum converges
     with pytest.raises(ConfigError):
         run_experiment("nonexistence", {"dt_cap": "-1"})
-    # a mode past either cap has coefficient 0: a pairing with no signal
-    for mode in ("100000", "-129"):
-        with pytest.raises(ConfigError, match="pairing_mode"):
-            run_experiment("nonexistence", {"pairing_mode": mode})
+    # a mode past the cap of the smallest rung, min(2N, M) for its cutoff N,
+    # has coefficient 0 there: a pairing with no signal
+    for config, cap in (({"pairing_mode": "100000"}, 64), ({"pairing_mode": "-129"}, 64),
+                        ({**REDUCED_NONEXISTENCE, "schedule": "2,8,16",
+                          "pairing_mode": "5"}, 4)):
+        with pytest.raises(ConfigError, match=f"'pairing_mode' .* beyond {cap},"):
+            run_experiment("nonexistence", config)
     # a negative cutoff is rejected up front, naming its key
     for key, cutoffs in (("schedule", "-4,16"), ("mom_schedule", "-1,8,16,32,64"),
                          ("control_schedule", "-8,16")):

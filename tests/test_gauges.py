@@ -1,5 +1,7 @@
 """Gauge maps: equation relabeling, inversion, and plane-wave algebra."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,7 @@ from mkdvlab.dynamics import EquationSpec, solve
 from mkdvlab.errors import GaugeMismatchError
 from mkdvlab.gauges import (
     GaugeSpec,
-    apply_gauge1,
-    apply_gauge2,
+    apply_gauge,
     invert_gauge,
     last_gauge,
 )
@@ -26,7 +27,7 @@ def smooth_trajectory(variant="mkdv", sign=1):
 
 def test_gauge1_relabels_and_records():
     traj = smooth_trajectory()
-    gauged = apply_gauge1(traj)
+    gauged = apply_gauge(traj, "G1")
     assert gauged.equation == EquationSpec("mkdv1", 1)
     record = last_gauge(gauged)
     assert record.which == "G1"
@@ -35,7 +36,7 @@ def test_gauge1_relabels_and_records():
 
 
 def test_gauge2_relabels_and_records():
-    gauged = apply_gauge2(apply_gauge1(smooth_trajectory()))
+    gauged = apply_gauge(apply_gauge(smooth_trajectory(), "G1"), "G2")
     assert gauged.equation == EquationSpec("mkdv2", 1)
     record = last_gauge(gauged)
     assert record.which == "G2"
@@ -44,7 +45,7 @@ def test_gauge2_relabels_and_records():
 
 def test_gauge2_is_global_phase():
     traj = smooth_trajectory("mkdv1")
-    gauged = apply_gauge2(traj)
+    gauged = apply_gauge(traj, "G2")
     for before, after in zip(traj.states, gauged.states):
         # one unimodular scalar per slice: all weighted norms untouched
         for spec in (NormSpec(0.0, 2.0), NormSpec(0.5, 2.0), NormSpec(1.0, 3.0)):
@@ -58,13 +59,13 @@ def test_gauge2_is_global_phase():
 
 def test_gauge1_mixes_nothing_at_t_zero():
     traj = smooth_trajectory()
-    gauged = apply_gauge1(traj)
+    gauged = apply_gauge(traj, "G1")
     assert np.array_equal(gauged.states[0].coeffs, traj.states[0].coeffs)
 
 
 def test_gauge_inversion_is_exact():
     traj = smooth_trajectory()
-    once = apply_gauge1(traj)
+    once = apply_gauge(traj, "G1")
     back = invert_gauge(once)
     assert back.equation == traj.equation
     assert back.metadata["gauges"] == []
@@ -73,7 +74,7 @@ def test_gauge_inversion_is_exact():
 
 
 def test_invert_checks_the_record():
-    traj = apply_gauge1(smooth_trajectory())
+    traj = apply_gauge(smooth_trajectory(), "G1")
     recorded = last_gauge(traj)
     with pytest.raises(GaugeMismatchError):
         invert_gauge(traj, GaugeSpec("G2", recorded.sign, recorded.scalar))
@@ -93,9 +94,9 @@ def test_invert_without_record_fails():
 def test_explicit_sign_conflict_rejected():
     traj = smooth_trajectory(sign=1)
     with pytest.raises(ValueError):
-        apply_gauge1(traj, sign=-1)
+        apply_gauge(traj, "G1", sign=-1)
     with pytest.raises(ValueError):
-        apply_gauge2(traj, sign=3)
+        apply_gauge(traj, "G2", sign=3)
 
 
 def test_gauge_spec_validation():
@@ -104,7 +105,10 @@ def test_gauge_spec_validation():
     with pytest.raises(ValueError):
         GaugeSpec("G1", 0, 0.0)
     spec = GaugeSpec("G1", -1, 0.25)
-    assert GaugeSpec.from_record(spec.to_record()) == spec
+    assert GaugeSpec.from_record(dataclasses.asdict(spec)) == spec
+    # apply_gauge refuses an unknown gauge as GaugeSpec does
+    with pytest.raises(ValueError, match="gauge must be G1 or G2, got 'G3'"):
+        apply_gauge(smooth_trajectory(), "G3")
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -114,8 +118,8 @@ def test_plane_wave_gauge_algebra(sign):
     cap, wave, amp, s = 8, 3, 1.5, 0.0
     start = exact_plane_wave("mkdv", sign, cap, wave, amp, s, 0.0)
     traj = solve(start, EquationSpec("mkdv", sign), 1e-3, 0.05, save_every=10)
-    after_g1 = apply_gauge1(traj)
-    after_g2 = apply_gauge2(after_g1)
+    after_g1 = apply_gauge(traj, "G1")
+    after_g2 = apply_gauge(after_g1, "G2")
     worst1 = worst2 = 0.0
     for st1, st2 in zip(after_g1.states, after_g2.states):
         exact1 = exact_plane_wave("mkdv1", sign, cap, wave, amp, s, st1.time)
@@ -135,5 +139,5 @@ def test_gauge_scalars_frozen_from_initial_slice():
     from mkdvlab.dynamics import Trajectory
 
     traj = Trajectory(tuple(states), 0.1, EquationSpec("mkdv1", 1), {})
-    gauged = apply_gauge2(traj)
+    gauged = apply_gauge(traj, "G2")
     assert last_gauge(gauged).scalar == pytest.approx(momentum(states[0]))

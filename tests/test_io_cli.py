@@ -445,13 +445,15 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
     state_path = tmp_path / "st.json"
     payload = json.loads(state_to_json_text(preset_state(4, "plane_wave:2,1,0")))
-    # JSON states with a fractional or boolean mode_cap, a fractional mode, a
+    # JSON states with a fractional, boolean or too large mode_cap, a fractional mode, a
     # repeated mode and a non-finite time (json writes NaN and Infinity)
     bad_states = []
     for name, field, change in (
         ("cap_frac", "mode_cap", {"mode_cap": 4.5}),
         ("cap_bool", "mode_cap", {"mode_cap": True}),
         ("cap_huge", "mode_cap", {"mode_cap": 2**62}),
+        # one past the ceiling, refused before anything is allocated
+        ("cap_over", "mode_cap", {"mode_cap": 2**20 + 1}),
         ("mode_frac", "coeffs", {"coeffs": [[1.6, 1.0, 0.0]]}),
         ("mode_twice", "coeffs", {"coeffs": [[2, 1.0, 0.0], [2, 0.5, 0.0]]}),
         ("time_nan", "time", {"time": float("nan")}),
@@ -589,6 +591,9 @@ REJECTED = [
       "--set", "modes=4", "--set", "T=0.002", "--set", "dt=1e-3", "--set", "save_every=1",
       "--out", "{tmp}/o"),
      "config error: ic preset 'one_sided:-1000' overflows float64 at mode_cap 4"),
+    # a mode cap one past the ceiling 2^20, refused before anything is allocated
+    (("solve", "--modes", "1048577", "--ic", "zero", "--out", "{tmp}/o"),
+     "config error: 'modes' must be at most 1048576, got 1048577"),
 ]
 
 
@@ -634,6 +639,25 @@ def test_cli_norms_out_writes_a_nan_mass_as_text(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["mass"] == payload["momentum"] == "nan"
     assert [row["value"] for row in payload["norms"]] == ["nan"] * 3
+
+
+def test_cli_norms_prints_no_numpy_warnings(tmp_path, capsys):
+    # a coefficient of 1e300 overflows the squares of every norm; an inf one
+    # makes the momentum 0 * inf.  The values are printed as they come out
+    big, inf = tmp_path / "big.csv", tmp_path / "inf.csv"
+    big.write_text("n,re,im\n-1,0,0\n0,1e300,0\n1,0.5,0\n")
+    inf.write_text("n,re,im\n-1,0,0\n0,inf,0\n1,0.5,0\n")
+    out = tmp_path / "inf.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("norms", "--state", str(big), "--p", "2,inf") == 0
+        assert run_cli("norms", "--state", str(inf), "--out", str(out)) == 0
+    assert [str(w.message) for w in caught] == []
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["s,p,fl_norm", "0,2,inf", "0,inf,1.0000000000000001e+300"]
+    assert lines[7:] == ["s,p,fl_norm", "0,2,inf", "0.5,2,inf", "1,2,inf"]
+    payload = json.loads(out.read_text())
+    assert (payload["mass"], payload["momentum"]) == ("inf", "nan")
 
 
 def test_cli_gauge_refuses_a_non_finite_initial_state(tmp_path, capsys):

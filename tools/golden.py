@@ -10,7 +10,8 @@ by ``<src>``; the ``--help`` commands print as the ``mkdvlab`` script
 would, wrapped at 80 columns.  Before they run, OUT receives the INPUTS
 files that some commands read: a JSON state, a state CSV that only the
 line-by-line reader accepts, one naming a single huge mode, one holding a
-NaN, a JSON state with a huge mode cap, and a solve config file.
+NaN, one holding 1e300 and one holding inf, a JSON state with a huge mode
+cap, and a solve config file.
 Warnings are recorded as category and message only, so a moved source
 line does not show as a difference.
 Run it on two checkouts and compare the two OUT trees with ``diff -r``.
@@ -94,8 +95,13 @@ COMMANDS += [
                           "--dt 1e-3 --out overflow".split()),
     # a NaN mass and momentum, written to JSON as text
     ("norms_nan_out", "norms --state nan_state.csv --out nan_norms.json".split()),
-    # cutoff 0: a rung at mode cap 0
+    # cutoff 0: a rung at mode cap 0, below pairing mode 1: exit 1
     experiment("nonexistence", "_zero_cutoff", *REDUCED, "schedule=0,8,16"),
+    # squares that overflow, and an inf mass with a nan momentum: no warnings
+    ("norms_overflow", "norms --state big_coeff.csv".split()),
+    ("norms_inf_out", "norms --state inf_state.csv --out inf_norms.json".split()),
+    # pairing mode 5 beyond cap 4 of the rung at cutoff 2: exit 1
+    experiment("nonexistence", "_small_rung", *REDUCED, "schedule=2,8,16", "pairing_mode=5"),
 ]
 
 INPUTS = {
@@ -118,6 +124,10 @@ INPUTS = {
     "nan_state.csv": "n,re,im\n-1,0,0\n0,nan,0\n1,0.5,0\n",
     # mode_cap 2^62, too large to allocate: refused naming the file, exit 1
     "huge_cap.json": '{"coeffs": [], "mode_cap": 4611686018427387904}\n',
+    # cap 1 with a mode 0 of 1e300, whose square overflows
+    "big_coeff.csv": "n,re,im\n-1,0,0\n0,1e300,0\n1,0.5,0\n",
+    # cap 1 with an infinite mode 0
+    "inf_state.csv": "n,re,im\n-1,0,0\n0,inf,0\n1,0.5,0\n",
 }
 
 
