@@ -20,13 +20,7 @@ from .dynamics import (
     solve_many,
     stability_dt_limit,
 )
-from .errors import (
-    AliasingError,
-    ConfigError,
-    GaugeMismatchError,
-    SolverAbort,
-    StabilityWarning,
-)
+from .errors import ConfigError, SolverAbort, StabilityWarning
 from .experiments import (
     EXPERIMENTS,
     ExperimentReport,
@@ -35,7 +29,7 @@ from .experiments import (
     run_experiment,
     write_report,
 )
-from .gauges import GAUGES, GaugeSpec, apply_gauge, invert_gauge, last_gauge
+from .gauges import GAUGES, GaugeSpec, apply_gauge, invert_gauge
 from .norms import (
     NormSpec,
     fl_norm,
@@ -69,9 +63,7 @@ __all__ = [
     "solve",
     "solve_many",
     "stability_dt_limit",
-    "AliasingError",
     "ConfigError",
-    "GaugeMismatchError",
     "SolverAbort",
     "StabilityWarning",
     "EXPERIMENTS",
@@ -84,7 +76,6 @@ __all__ = [
     "GaugeSpec",
     "apply_gauge",
     "invert_gauge",
-    "last_gauge",
     "NormSpec",
     "fl_norm",
     "japanese_bracket",

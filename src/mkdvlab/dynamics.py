@@ -45,6 +45,9 @@ J1_FFT_TOLERANCE = 1e-12
 #: Inter-step relative mass drift that aborts the solver.
 MASS_DRIFT_LIMIT = 0.01
 
+#: Most steps one solve takes: about 40 h at ~67 us per step (M = 32).
+MAX_STEPS = 1 << 31
+
 
 @dataclasses.dataclass(frozen=True)
 class EquationSpec:
@@ -61,6 +64,13 @@ class EquationSpec:
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         object.__setattr__(self, "sign", int(self.sign))
+
+
+def _check_step_count(name: str, dt: float, horizon: float) -> None:
+    """A ValueError unless ``horizon`` takes at most MAX_STEPS steps of ``dt``."""
+    if not horizon / dt <= MAX_STEPS:  # an overflow to inf too
+        raise ValueError(f"{name} = {dt} takes more than MAX_STEPS = {MAX_STEPS} steps "
+                         f"over the horizon {horizon}")
 
 
 def _positive_finite(name: str, value) -> float:
@@ -553,6 +563,7 @@ def solve_many(
             raise ValueError(f"states[{b}].time must be finite, got {st.time}")
     dt = _positive_finite("dt", dt)
     horizon = _positive_finite("horizon", horizon)
+    _check_step_count("dt", dt, horizon)
     n_steps = int(round(horizon / dt))
     if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError(
@@ -671,6 +682,7 @@ def phase_schedule(total: float, dt_cap: float, save_points: int) -> tuple[float
     """
     total = _positive_finite("total", total)
     dt_cap = _positive_finite("dt_cap", dt_cap)
+    _check_step_count("dt_cap", dt_cap, total)
     if save_points < 1:
         raise ValueError("save_points must be positive")
     per_block = total / save_points

@@ -1,16 +1,8 @@
 """Exception types shared across the package."""
 
 
-class AliasingError(ValueError):
-    """Grid too coarse for the requested band-limited operation."""
-
-
 class ConfigError(ValueError):
     """Invalid or unknown run configuration."""
-
-
-class GaugeMismatchError(ValueError):
-    """Gauge inversion requested with a spec that does not match the record."""
 
 
 class SolverAbort(RuntimeError):

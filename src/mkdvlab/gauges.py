@@ -14,7 +14,6 @@ import dataclasses
 import numpy as np
 
 from .dynamics import EquationSpec, Trajectory
-from .errors import GaugeMismatchError
 from .norms import mass, momentum
 
 #: Per gauge: the member it maps from, the member it maps onto, and the
@@ -35,11 +34,8 @@ class GaugeSpec:
             raise ValueError(f"gauge must be G1 or G2, got {self.which!r}")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        object.__setattr__(self, "sign", int(self.sign))
         object.__setattr__(self, "scalar", float(self.scalar))
-
-    @classmethod
-    def from_record(cls, record: dict) -> "GaugeSpec":
-        return cls(record["which"], int(record["sign"]), float(record["scalar"]))
 
 
 def _resolve_sign(trajectory: Trajectory, sign: int | None) -> int:
@@ -49,14 +45,12 @@ def _resolve_sign(trajectory: Trajectory, sign: int | None) -> int:
                 "trajectory carries no equation; pass the gauge sign explicitly"
             )
         return trajectory.equation.sign
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     if trajectory.equation is not None and trajectory.equation.sign != sign:
         raise ValueError(
-            f"explicit sign {sign:+d} contradicts the trajectory equation "
+            f"explicit sign {sign:+} contradicts the trajectory equation "
             f"sign {trajectory.equation.sign:+d}"
         )
-    return int(sign)
+    return sign
 
 
 def _apply(trajectory: Trajectory, spec: GaugeSpec, inverse: bool) -> Trajectory:
@@ -91,32 +85,20 @@ def apply_gauge(trajectory: Trajectory, which: str, sign: int | None = None) -> 
     return _apply(trajectory, spec, inverse=False)
 
 
-def last_gauge(trajectory: Trajectory) -> GaugeSpec | None:
-    records = trajectory.metadata.get("gauges") or ()
-    if not records:
-        return None
-    return GaugeSpec.from_record(records[-1])
-
-
 def invert_gauge(
     trajectory: Trajectory, spec: GaugeSpec | None = None
 ) -> Trajectory:
-    """Undo the most recent recorded gauge; exact up to rounding.
+    """Undo the trajectory's last recorded gauge; exact up to rounding.
 
-    When ``spec`` is given it must match the recorded gauge (same map,
-    same sign, scalar to within 1e-12 relative), otherwise the inversion
-    is refused.  On a trajectory that records no gauge, ``spec`` is undone
-    as given: a G2 inverse rebuilds mkdv1 candidates from mkdv2 solutions.
+    ``spec`` is for a trajectory that records no gauge, and is undone as
+    given: a G2 inverse rebuilds mkdv1 candidates from mkdv2 solutions.
     """
-    recorded = last_gauge(trajectory)
-    if recorded is None and spec is None:
-        raise GaugeMismatchError("trajectory has no recorded gauge to invert")
-    if recorded is not None and spec is not None:
-        scalar_close = abs(spec.scalar - recorded.scalar) <= 1e-12 * (
-            1.0 + abs(recorded.scalar)
-        )
-        if spec.which != recorded.which or spec.sign != recorded.sign or not scalar_close:
-            raise GaugeMismatchError(
-                f"requested {spec} does not match recorded {recorded}"
-            )
-    return _apply(trajectory, recorded or spec, inverse=True)
+    records = trajectory.metadata.get("gauges") or ()
+    if records and spec is not None:
+        raise ValueError("trajectory records its gauge; invert it without a spec")
+    if records:
+        last = records[-1]
+        spec = GaugeSpec(last["which"], last["sign"], last["scalar"])
+    elif spec is None:
+        raise ValueError("trajectory has no recorded gauge to invert")
+    return _apply(trajectory, spec, inverse=True)

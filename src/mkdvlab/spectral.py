@@ -13,7 +13,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import AliasingError
 
 TWO_PI = 2.0 * np.pi
 
@@ -108,7 +107,7 @@ def synthesis(coeffs: np.ndarray, mode_cap: int, num_points: int) -> np.ndarray:
     from scipy.fft._pocketfft import pypocketfft
 
     if num_points < 2 * mode_cap + 1:
-        raise AliasingError(
+        raise ValueError(
             f"synthesis needs at least {2 * mode_cap + 1} grid points for "
             f"mode_cap {mode_cap}, got {num_points}"
         )

@@ -526,7 +526,7 @@ def test_batch_warns_in_member_order():
     assert batch[1].metadata["warnings"] == ()
 
 
-def test_solve_many_validation():
+def test_solve_many_validation(monkeypatch):
     state = preset_state(4, "plane_wave:1,0.5,0")
     eq = EquationSpec("mkdv", 1)
     with pytest.raises(ValueError):
@@ -537,6 +537,21 @@ def test_solve_many_validation():
         solve_many([state, preset_state(5, "plane_wave:1,0.5,0")], [eq, eq], 1e-3, 0.01)
     with pytest.raises(ValueError):
         solve_many([state], [eq], 3e-3, 0.01)
+
+    # more than MAX_STEPS steps, or an inf count: refused before any
+    # stability limit or stepper
+    def not_reached(*args):
+        raise AssertionError("the step count was not checked first")
+
+    monkeypatch.setattr(dynamics, "stability_dt_limit", not_reached)
+    monkeypatch.setattr(dynamics, "_ifrk4_stepper", not_reached)
+    for dt, horizon in ((1e-300, 1.0), (1e-10, 1e300), (1.0, dynamics.MAX_STEPS + 1.0)):
+        with pytest.raises(ValueError, match=r"^dt = .* takes more than MAX_STEPS = "
+                                             r"2147483648 steps over the horizon "):
+            solve_many([state], [eq], dt, horizon)
+    # phase_schedule's own count could overflow to inf first
+    with pytest.raises(ValueError, match=r"^dt_cap = 1e-320 takes more than MAX_STEPS"):
+        phase_schedule(0.8, 1e-320, 4)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

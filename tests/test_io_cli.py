@@ -594,6 +594,15 @@ REJECTED = [
     # a mode cap one past the ceiling 2^20, refused before anything is allocated
     (("solve", "--modes", "1048577", "--ic", "zero", "--out", "{tmp}/o"),
      "config error: 'modes' must be at most 1048576, got 1048577"),
+    # more than MAX_STEPS = 2^31 steps, refused before anything is stepped
+    (("solve", "--modes", "4", "--ic", "zero", "--T", "1", "--dt", "1e-300",
+      "--out", "{tmp}/o"),
+     "invalid value: dt = 1e-300 takes more than MAX_STEPS = 2147483648 steps "
+     "over the horizon 1.0"),
+    (("solve", "--modes", "4", "--ic", "zero", "--T", "1e300", "--dt", "1e-10",
+      "--out", "{tmp}/o"),
+     "invalid value: dt = 1e-10 takes more than MAX_STEPS = 2147483648 steps "
+     "over the horizon 1e+300"),
 ]
 
 
@@ -710,6 +719,24 @@ def test_cli_solve_abort_prints_no_numpy_warnings(tmp_path, ic):
     assert done.returncode == 2
     assert "StabilityWarning: dt = 0.001 exceeds the stability heuristic" in done.stderr
     assert done.stderr.endswith("numerical abort: non-finite state at t = 0.001 (step 1)\n")
+    assert "RuntimeWarning" not in done.stderr and "Traceback" not in done.stderr
+
+
+# experiments on finite but huge data: every member aborts (exit 3 after the
+# report), or the first one does (exit 2); only StabilityWarnings come first
+@pytest.mark.parametrize("name, sets, code", [
+    ("apriori_probe", ["amplitudes=1e100,2e100", "modes=8", "T=0.01"], 3),
+    ("energy_drift", ["ic=gaussian_bump:6,1e100,4", "modes=16", "cutoffs=4,8", "T=0.01"], 2),
+])
+def test_cli_experiment_on_huge_data_prints_no_numpy_warnings(tmp_path, name, sets, code):
+    argv = [arg for item in sets for arg in ("--set", item)]
+    done = subprocess.run(
+        [sys.executable, "-m", "mkdvlab.cli", "experiment", name, *argv,
+         "--out", str(tmp_path / "o")],
+        env=source_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == code
+    assert "StabilityWarning: dt = " in done.stderr
     assert "RuntimeWarning" not in done.stderr and "Traceback" not in done.stderr
 
 

@@ -102,6 +102,12 @@ COMMANDS += [
     ("norms_inf_out", "norms --state inf_state.csv --out inf_norms.json".split()),
     # pairing mode 5 beyond cap 4 of the rung at cutoff 2: exit 1
     experiment("nonexistence", "_small_rung", *REDUCED, "schedule=2,8,16", "pairing_mode=5"),
+    # a trajectory that records no gauge has none to undo: exit 1
+    ("gauge_invert_ungauged", "gauge --traj solved --invert --out ungauged".split()),
+    # more than MAX_STEPS = 2^31 steps, or a step count that overflows: exit 1
+    ("solve_tiny_dt", "solve --modes 4 --ic zero --T 1 --dt 1e-300 --out tiny_dt".split()),
+    ("solve_huge_T", "solve --modes 4 --ic zero --T 1e300 --dt 1e-10 --out huge_T".split()),
+    experiment("illposedness", "_tiny_tol", "agree_tol=1e-300"),
 ]
 
 INPUTS = {
