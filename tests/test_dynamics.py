@@ -292,7 +292,10 @@ def test_large_batch_members_match_solo_bitwise():
     (64, [("mkdv", 1)]),
     (64, [("mkdv", -1)]),
     (512, [("mkdv2", 1)]),
-], ids=["32-mixed", "64-plus", "64-minus", "512-mkdv2"])
+    # all-tail stacks: every row subtracts the mean transport (mean_start = 0)
+    (32, [("mkdv1", -1)] * 3),
+    (32, [("mkdv2", 1), ("mkdv2", -1), ("mkdv2", 1)]),
+], ids=["32-mixed", "64-plus", "64-minus", "512-mkdv2", "32-mkdv1-minus", "32-mkdv2-mixed"])
 def test_stepper_matches_reference_rhs_bitwise(monkeypatch, cap, members):
     # 200 IF-RK4 steps on the production right-hand side and on the
     # reference one built on public scipy.fft
@@ -463,6 +466,41 @@ def test_rhs_returns_a_fresh_array_per_call():
     second = rhs(preset_state(16, "random_smooth:1.2,7").coeffs[None])
     assert not np.shares_memory(first, second)
     assert first.tobytes() == kept.tobytes()
+
+
+def test_rhs_writes_only_the_buffer_it_is_given():
+    # rhs keeps the views it writes through for the first output buffers it
+    # is given; whichever buffers came before, each call must write the
+    # reference's bits into its own buffer and change no other array
+    equations = [EquationSpec("mkdv", 1), EquationSpec("mkdv1", -1), EquationSpec("mkdv2", 1)]
+    rhs, reference = _rhs_builder(32, equations), reference_rhs_builder(32, equations)
+    # every mode nonzero: rhs and the reference differ at most in the sign
+    # of an exact zero
+    inputs = (np.array([random_state(32, 3 * k + b).coeffs for b in range(3)])
+              for k in range(12))
+    a, b = np.zeros((2, 3, 65), dtype=np.complex128)
+    held = []  # (array, bits) for every result the test still holds
+
+    def check(out, hold=True):
+        coeffs = next(inputs)
+        got = rhs(coeffs, out)
+        assert got is out if out is not None else not any(
+            np.shares_memory(got, array) for array, _ in held)
+        assert got.tobytes() == reference(coeffs).tobytes()
+        held[:] = [(array, bits) for array, bits in held if array is not got]
+        for array, bits in held:
+            assert array.tobytes() == bits
+        if hold:
+            held.append((got, got.tobytes()))
+
+    for out in (None, a, b, a, None, b):
+        check(out)
+    # buffers made for one call and freed after it, more of them than rhs
+    # keeps views for, so their memory and ids can be reused
+    for _ in range(4):
+        check(np.empty((3, 65), dtype=np.complex128), hold=False)
+    check(a)
+    check(b)
 
 
 def test_batch_abort_leaves_neighbours_unchanged():
