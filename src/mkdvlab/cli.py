@@ -278,6 +278,8 @@ _EXITS = (
     (FileNotFoundError, "missing path", 1),
     (NotADirectoryError, "wrong kind of path", 1),
     (IsADirectoryError, "wrong kind of path", 1),
+    # after the path classes above, which are OSErrors too
+    (OSError, "file system error", 1),
     (SolverAbort, "numerical abort", 2),
     (ValueError, "invalid value", 1),
     (MemoryError, "out of memory", 1),

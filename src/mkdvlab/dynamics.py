@@ -45,7 +45,7 @@ J1_FFT_TOLERANCE = 1e-12
 #: Inter-step relative mass drift that aborts the solver.
 MASS_DRIFT_LIMIT = 0.01
 
-#: Most steps one solve takes: about 35 h at ~58 us per step (M = 32).
+#: Most steps one solve takes: about 35 h at 58.4 us per step (mkdv2, M = 32).
 MAX_STEPS = 1 << 31
 
 
@@ -149,12 +149,13 @@ def phi_resonance(n1: int, n2: int, n3: int) -> int:
 def _rhs_builder(cap: int, equations: Sequence[EquationSpec]):
     """Signed right-hand side on a (B, 2M+1) stack, row b under equations[b].
 
-    ``rhs(coeffs, out=None)`` writes the right-hand side into ``out``, or
-    into a fresh array when ``out`` is None, and returns it.  It first
-    copies ``coeffs`` into its input buffer ``rhs.coeffs``, unless
-    ``coeffs`` is that buffer: a caller that builds its input there saves
-    the copy.  Every other buffer is made once, as are the views of the
-    first four outputs it is given (a stepper's k1..k4).
+    ``rhs(coeffs, stage=0)`` writes the right-hand side into stage
+    ``stage`` of ``rhs.stages``, one (4, B, 2M+1) block for a stepper's
+    k1..k4, and returns that stage; the next call on the same stage
+    overwrites it.  It first copies ``coeffs`` into its input buffer
+    ``rhs.coeffs``, unless ``coeffs`` is that buffer: a caller that builds
+    its input there saves the copy.  Every buffer, and every view a stage
+    is written through, is made once, here.
 
     The equations must be grouped by variant, in the order of VARIANTS, the
     ladder of ``gauges.GAUGES``: rows of rank 1 or more subtract the mean
@@ -226,13 +227,14 @@ def _rhs_builder(cap: int, equations: Sequence[EquationSpec]):
     term = np.empty((mean_rows, width), dtype=np.complex128)
     term_pairs, term_momentum = term.view(np.float64), term[:momentum_rows]
 
-    # per output buffer, by id: the buffer, its halves for modes -M..-1 and
-    # 0..M, the float view of its tail rows and its momentum rows.  An entry
-    # holds its buffer, so no other array can take that id
-    kept = {}
+    # per stage: its buffer, its halves for modes -M..-1 and 0..M, the float
+    # view of its tail rows and its momentum rows
+    stages = np.empty((4, rows, width), dtype=np.complex128)
+    views = [(out, out[:, :cap], out[:, cap:], out.view(np.float64)[mean_start:],
+              out[momentum_start:]) for out in stages]
     multiply, subtract, add_reduce = np.multiply, np.subtract, np.add.reduce
 
-    def rhs(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def rhs(coeffs: np.ndarray, stage: int = 0) -> np.ndarray:
         if coeffs is not source:
             source[...] = coeffs
         multiply(deriv, source, coeffs_dx)
@@ -242,13 +244,7 @@ def _rhs_builder(cap: int, equations: Sequence[EquationSpec]):
         multiply(phys, np.conj(phys, product), product)
         multiply(product, phys_dx, product)
         pypocketfft.c2c(product, (-1,), True, 0, product, 1)
-        if out is None or (views := kept.get(id(out))) is None:
-            buf = np.empty(source.shape, dtype=np.complex128) if out is None else out
-            views = (buf, buf[:, :cap], buf[:, cap:], buf.view(np.float64)[mean_start:],
-                     buf[momentum_start:])
-            if out is not None and len(kept) < 4:
-                kept[id(out)] = views
-        out, out_low, out_high, out_tail, out_momentum = views
+        out, out_low, out_high, out_tail, out_momentum = views[stage]
         out_low[...] = low
         out_high[...] = high
         multiply(out, scale, out)
@@ -264,7 +260,7 @@ def _rhs_builder(cap: int, equations: Sequence[EquationSpec]):
             subtract(out_momentum, term_momentum, out_momentum)
         return out
 
-    rhs.coeffs = source
+    rhs.coeffs, rhs.stages = source, stages
     return rhs
 
 
@@ -399,9 +395,9 @@ def _ifrk4_stepper(cap: int, equations: Sequence[EquationSpec], dt: float):
     propagator and step factor is a full (B, 2M+1) array, so that each
     elementwise call runs numpy's same-shape loop.
 
-    A step allocates no buffer: rhs fills k1..k4, rows of one (4, B, 2M+1)
-    block, through views built at the first step; each stage input is built
-    in rhs's input buffer; and the step returns one of two result buffers,
+    A step allocates no buffer: k1..k4 are rhs's own stages 0..3, which it
+    fills through views built with it; each stage input is built in rhs's
+    input buffer; and the step returns one of two result buffers,
     alternating, so ``advance(u)`` never writes the u it reads.  A returned
     stack is overwritten two calls later: copy what must outlive that.
     """
@@ -418,7 +414,7 @@ def _ifrk4_stepper(cap: int, equations: Sequence[EquationSpec], dt: float):
     half_dt, full_dt, sixth_dt, two = (
         np.full(shape, complex(factor)) for factor in (dt / 2.0, dt, dt / 6.0, 2.0)
     )
-    k1, k2, k3, k4 = np.empty((4,) + shape, dtype=np.complex128)
+    k1, k2, k3, k4 = rhs.stages
     results = (np.empty(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128))
     multiply, add = np.multiply, np.add
 
@@ -430,12 +426,12 @@ def _ifrk4_stepper(cap: int, equations: Sequence[EquationSpec], dt: float):
         return multiply(prop, out, out)
 
     def advance(u: np.ndarray) -> np.ndarray:
-        rhs(u, k1)
-        rhs(stage(u, k1, half_dt, half_prop, source), k2)
+        rhs(u, 0)
+        rhs(stage(u, k1, half_dt, half_prop, source), 1)
         multiply(half_back, k2, k2)
-        rhs(stage(u, k2, half_dt, half_prop, source), k3)
+        rhs(stage(u, k2, half_dt, half_prop, source), 2)
         multiply(half_back, k3, k3)
-        rhs(stage(u, k3, full_dt, full_prop, source), k4)
+        rhs(stage(u, k3, full_dt, full_prop, source), 3)
         multiply(full_back, k4, k4)
         # full_prop * (u + (dt/6) (k1 + 2 (k2 + k3) + k4))
         add(k2, k3, k2)

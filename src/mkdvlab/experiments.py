@@ -932,7 +932,8 @@ ENERGY_DRIFT_SCHEMA = {
     "sign": ("+1", sign),
     "modes": ("128", mode_cap),
     "ic": ("gaussian_bump:6,0.35,4", text),
-    "cutoffs": ("8,16,32,64", ladder),
+    # one cutoff cannot show decay
+    "cutoffs": ("8,16,32,64", increasing(at_least(2, list_of(positive(integer))))),
     "dt": ("2e-4", positive(number)),
     "T": ("1.0", positive(number)),
     "save_every": ("25", positive(integer)),
@@ -947,7 +948,9 @@ def exp_energy_drift(opt) -> Findings:
     One smooth solve; for each cutoff N the drift sup_t |P(P_{>N} u(t)) -
     P(P_{>N} u(0))| is measured and a log-log slope fitted.  The slope
     threshold is an artifact choice, not a value the source material
-    quantifies; drifts at rounding scale pass as below noise.
+    quantifies.  With no drift above noise_floor the verdict passes as below
+    noise; with one, it passes only if that one is at the smallest cutoff,
+    so that no drift above the floor follows one at or below it.
     """
     cutoffs = opt.cutoffs
     if cutoffs[-1] >= opt.modes:
@@ -991,10 +994,23 @@ def exp_energy_drift(opt) -> Findings:
             "log-log slope over cutoffs above the noise floor; threshold is an "
             "artifact choice",
         )
+    elif visible:
+        # one drift fits no slope: it shows decay only at the smallest cutoff
+        [(cutoff, _)] = visible
+        first = cutoffs[0]
+        if cutoff == first:
+            note = f"every drift after N = {first} at or below the noise floor"
+        else:
+            note = (f"drift at N = {cutoff} above the noise floor after one at or "
+                    f"below it at N = {first}")
+        verdict = VerdictRecord(
+            "drift_decays_in_cutoff", cutoff == first,
+            f"one drift above noise, at N = {cutoff}", "noise_floor", note,
+        )
     else:
         verdict = VerdictRecord(
             "drift_decays_in_cutoff", True, "below noise", "noise_floor",
-            "all drifts at rounding scale",
+            "no drift above the noise floor",
         )
     return series, scalars, (verdict,)
 

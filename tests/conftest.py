@@ -193,9 +193,11 @@ def reference_rhs_builder(cap, equations):
     the spread (in) u_hat comes from a padded-grid derivative row, and the
     modes are gathered and then scaled.  Every operation and operand order
     of the production right-hand side, through different calls, so the two
-    must agree bitwise.  Like the production one, ``rhs(coeffs, out=None)``
-    copies its result into ``out`` when given, and ``rhs.coeffs`` is an
-    input buffer that a caller may fill and pass.
+    must agree bitwise.  ``rhs(coeffs, stage)`` copies its result into
+    stage ``stage`` of ``rhs.stages`` and returns that stage, as the
+    production one does; ``rhs(coeffs)`` returns a fresh array.  Like the
+    production ``rhs.coeffs``, ``rhs.coeffs`` is an input buffer that a
+    caller may fill and pass.
     """
     from scipy import fft as sfft
 
@@ -216,7 +218,7 @@ def reference_rhs_builder(cap, equations):
     subtract_momentum = bool(np.any(momentum_rows))
     spread = np.zeros((2, len(equations), num_points), dtype=np.complex128)
 
-    def rhs(coeffs, out=None):
+    def rhs(coeffs, stage=None):
         _spread_modes(coeffs, cap, spread[0])
         np.multiply(padded_deriv, spread[0], out=spread[1])
         phys, phys_dx = sfft.ifft(spread)
@@ -234,12 +236,13 @@ def reference_rhs_builder(cap, equations):
             mom = np.add.reduce(paired_nvec * squares, axis=-1, keepdims=True)
             term = 1j * (sign * mom) * coeffs
             np.subtract(cubic, term, out=cubic, where=momentum_rows)
-        if out is None:
+        if stage is None:
             return cubic
-        np.copyto(out, cubic)
-        return out
+        np.copyto(rhs.stages[stage], cubic)
+        return rhs.stages[stage]
 
     rhs.coeffs = np.empty((len(equations), 2 * cap + 1), dtype=np.complex128)
+    rhs.stages = np.empty((4,) + rhs.coeffs.shape, dtype=np.complex128)
     return rhs
 
 

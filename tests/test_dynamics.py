@@ -400,11 +400,11 @@ def test_stepper_buffers_never_reach_saved_states(monkeypatch):
     def recording_rhs_builder(cap, equations):
         rhs = build_rhs(cap, equations)
 
-        def recording_rhs(coeffs, out=None):
-            buffers.extend((coeffs, out))
-            return rhs(coeffs, out)
+        def recording_rhs(coeffs, stage=0):
+            buffers.extend((coeffs, rhs.stages[stage]))
+            return rhs(coeffs, stage)
 
-        recording_rhs.coeffs = rhs.coeffs
+        recording_rhs.coeffs, recording_rhs.stages = rhs.coeffs, rhs.stages
         return recording_rhs
 
     def recording_stepper(cap, equations, dt):
@@ -425,7 +425,7 @@ def test_stepper_buffers_never_reach_saved_states(monkeypatch):
         warnings.simplefilter("ignore", StabilityWarning)
         results = solve_many(states, equations, 1e-3, 0.01, 1)
     assert [type(r) for r in results] == [Trajectory, SolverAbort, Trajectory]
-    unique = {id(buf): buf for buf in buffers if buf is not None}.values()
+    unique = {id(buf): buf for buf in buffers}.values()
     # the initial stack, rhs's input buffer, k1..k4 and the two results
     assert len({buf.__array_interface__["data"][0] for buf in unique}) == 8
     for result in results:
@@ -459,48 +459,23 @@ def test_nonlinearity_and_residual_check_return_independent_values():
     assert residual_check(traj) == tuple(expected)
 
 
-def test_rhs_returns_a_fresh_array_per_call():
-    rhs = _rhs_builder(16, (EquationSpec("mkdv2", 1),))
-    first = rhs(preset_state(16, "random_smooth:1.5,3").coeffs[None])
-    kept = first.copy()
-    second = rhs(preset_state(16, "random_smooth:1.2,7").coeffs[None])
-    assert not np.shares_memory(first, second)
-    assert first.tobytes() == kept.tobytes()
-
-
-def test_rhs_writes_only_the_buffer_it_is_given():
-    # rhs keeps the views it writes through for the first output buffers it
-    # is given; whichever buffers came before, each call must write the
-    # reference's bits into its own buffer and change no other array
+def test_rhs_writes_only_the_stage_it_is_given():
+    # each call must write the reference's bits into the stage it names,
+    # return that stage's memory and leave the other three stages as they
+    # were, in whatever order the stages come
     equations = [EquationSpec("mkdv", 1), EquationSpec("mkdv1", -1), EquationSpec("mkdv2", 1)]
     rhs, reference = _rhs_builder(32, equations), reference_rhs_builder(32, equations)
-    # every mode nonzero: rhs and the reference differ at most in the sign
-    # of an exact zero
-    inputs = (np.array([random_state(32, 3 * k + b).coeffs for b in range(3)])
-              for k in range(12))
-    a, b = np.zeros((2, 3, 65), dtype=np.complex128)
-    held = []  # (array, bits) for every result the test still holds
-
-    def check(out, hold=True):
-        coeffs = next(inputs)
-        got = rhs(coeffs, out)
-        assert got is out if out is not None else not any(
-            np.shares_memory(got, array) for array, _ in held)
+    for k, stage in enumerate((0, 1, 2, 3, 2, 0)):
+        # every mode nonzero: rhs and the reference differ at most in the
+        # sign of an exact zero
+        coeffs = np.array([random_state(32, 3 * k + b).coeffs for b in range(3)])
+        before = [rhs.stages[other].tobytes() for other in range(4)]
+        got = rhs(coeffs, stage)
+        assert got.ctypes.data == rhs.stages[stage].ctypes.data and got.shape == (3, 65)
         assert got.tobytes() == reference(coeffs).tobytes()
-        held[:] = [(array, bits) for array, bits in held if array is not got]
-        for array, bits in held:
-            assert array.tobytes() == bits
-        if hold:
-            held.append((got, got.tobytes()))
-
-    for out in (None, a, b, a, None, b):
-        check(out)
-    # buffers made for one call and freed after it, more of them than rhs
-    # keeps views for, so their memory and ids can be reused
-    for _ in range(4):
-        check(np.empty((3, 65), dtype=np.complex128), hold=False)
-    check(a)
-    check(b)
+        for other in range(4):
+            if other != stage:
+                assert rhs.stages[other].tobytes() == before[other]
 
 
 def test_batch_abort_leaves_neighbours_unchanged():

@@ -74,6 +74,8 @@ SINGLE_KEY_RULES = [
     ("random_momentum", "samples", "99"),
     ("energy_drift", "cutoffs", ""),
     ("energy_drift", "cutoffs", "0,8"),
+    # one cutoff cannot show decay
+    ("energy_drift", "cutoffs", "8"),
     ("apriori_probe", "s", "0"),
     ("apriori_probe", "p", "1.5"),
     ("apriori_probe", "amplitudes", "1.0"),
@@ -421,6 +423,29 @@ def test_energy_drift_below_noise_on_zero_data():
     assert verdict.threshold_key == "noise_floor"
     assert "fitted_slope" not in report.scalars
     assert all(y == 0.0 for _, y in report.series["drift_vs_cutoff"].rows)
+
+
+# at modes 32 and T = 0.1 the drifts at N = 4, 8, 16 are about 0.127, 0.164
+# and 8.0e-4: the drift at N = 8 exceeds the one at N = 4
+@pytest.mark.parametrize("cutoffs, floor, passed, observed, note", [
+    ("8,16", "1", True, "below noise", "no drift above the noise floor"),
+    ("8,16", "0.01", True, "one drift above noise, at N = 8",
+     "every drift after N = 8 at or below the noise floor"),
+    ("4,8,16", "0.15", False, "one drift above noise, at N = 8",
+     "drift at N = 8 above the noise floor after one at or below it at N = 4"),
+], ids=["none-visible", "one-visible-first", "one-visible-after-a-quiet-one"])
+def test_energy_drift_with_fewer_than_two_visible_drifts(cutoffs, floor, passed, observed,
+                                                         note):
+    report = run_experiment(
+        "energy_drift", {"modes": "32", "cutoffs": cutoffs, "dt": "1e-3", "T": "0.1",
+                         "save_every": "20", "noise_floor": floor})
+    [verdict] = report.verdicts
+    assert (verdict.passed, verdict.observed, verdict.note) == (passed, observed, note)
+    assert verdict.threshold_key == "noise_floor"
+    assert "fitted_slope" not in report.scalars
+    above = [N for N in map(int, cutoffs.split(","))
+             if report.scalars[f"drift_N{N}"] > float(floor)]
+    assert above == ([] if observed == "below noise" else [8])
 
 
 def test_energy_drift_rejects_cutoff_at_cap():

@@ -404,6 +404,7 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     rows = ((ConfigError, "config error", 1), (FileNotFoundError, "missing path", 1),
             (NotADirectoryError, "wrong kind of path", 1),
             (IsADirectoryError, "wrong kind of path", 1),
+            (OSError, "file system error", 1),
             (SolverAbort, "numerical abort", 2), (ValueError, "invalid value", 1),
             (MemoryError, "out of memory", 1))
     assert [kind for kind, _, _ in mkdvlab.cli._EXITS] == [kind for kind, _, _ in rows]
@@ -603,6 +604,9 @@ REJECTED = [
       "--out", "{tmp}/o"),
      "invalid value: dt = 1e-10 takes more than MAX_STEPS = 2147483648 steps "
      "over the horizon 1e+300"),
+    # one cutoff cannot show decay
+    (("experiment", "energy_drift", "--set", "cutoffs=8", "--out", "{tmp}/o"),
+     "config error: 'cutoffs' must be a list of 2 or more entries, got (8,)"),
 ]
 
 
@@ -626,6 +630,26 @@ def test_cli_rejections_exit_one(tmp_path, capsys, argv, message):
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_file_system_errors_exit_one(tmp_path, capsys):
+    # a name past the file system's 255-byte limit, as an output directory,
+    # an input state and an output file: one line, exit code 1
+    state = tmp_path / "state.csv"
+    state.write_text("n,re,im\n-1,0,0\n0,1,0\n1,0.5,0\n")
+    long_name = tmp_path / ("x" * 300)
+    for argv in (
+        ("solve", "--modes", "4", "--ic", "zero", "--T", "0.002", "--dt", "1e-3",
+         "--out", str(long_name)),
+        ("norms", "--state", f"{long_name}.csv"),
+        ("norms", "--state", str(state), "--out", f"{long_name}.json"),
+    ):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("file system error: ") and "File name too long" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["state.csv"]
 
 
 def _nan_trajectory(tmp_path):

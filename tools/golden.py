@@ -108,6 +108,11 @@ COMMANDS += [
     ("solve_tiny_dt", "solve --modes 4 --ic zero --T 1 --dt 1e-300 --out tiny_dt".split()),
     ("solve_huge_T", "solve --modes 4 --ic zero --T 1e300 --dt 1e-10 --out huge_T".split()),
     experiment("illposedness", "_tiny_tol", "agree_tol=1e-300"),
+    # one drift above noise_floor, at the smallest cutoff: passes, with no slope
+    experiment("energy_drift", "_one_visible", "cutoffs=32,64"),
+    # an output name past the file system's 255-byte limit: exit 1, one line
+    ("solve_long_out", "solve --modes 4 --ic zero --T 0.002 --dt 1e-3 --out".split()
+     + ["x" * 300]),
 ]
 
 INPUTS = {

@@ -33,7 +33,7 @@ COUNTED = {dis.opmap[name] for name in
 def count_calls(advance, u) -> int:
     """Array operations of one ``advance(u)`` in the frames of its module:
     calls, slice stores and binary operators, less the calls into Python
-    functions and into builtins (``id``, ``len``, dict methods)."""
+    functions and into builtins (``len``, dict methods)."""
     module = advance.__code__.co_filename
     count = 0
 
